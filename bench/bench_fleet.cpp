@@ -138,7 +138,7 @@ int main(int argc, char** argv) try {
 
   // Ranks curve: the same fixed partition spread across SPMD ranks of the
   // distributed driver (one lane per rank, so the concurrency is purely
-  // rank-driven), rank 0 ingesting and broadcasting. The last-chunk
+  // rank-driven), rank 0 ingesting and scattering. The last-chunk
   // z-scores must stay bitwise identical to the single-process runs above.
   std::printf("\ndistributed ranks (1 lane per rank):\n");
   std::vector<ShardResult> rank_results;
@@ -185,22 +185,21 @@ int main(int argc, char** argv) try {
   std::printf("rank-count invariant vs single-process: %s\n",
               rank_invariant ? "yes" : "NO");
 
-  // Wire-bytes curve: the same distributed run under the two root-fed
-  // delivery modes, summing every rank's communicator byte counter.
-  // Broadcast ships the full P x T chunk to every non-root — O(P*T*R) per
-  // chunk; scatterv ships each non-root only its owned rows — O(P*T) total
-  // regardless of R. The merge traffic is identical, so the gate below
-  // checks the totals differ by at least the payload saving.
+  // Wire-bytes curve: the same distributed run under the two delivery
+  // modes, summing every rank's communicator byte counter. Scatterv ships
+  // each non-root only its owned rows — O(P*T) per chunk regardless of R;
+  // per-rank ingestion ships no chunk payload at all. Subtracting the
+  // traffic both modes share (the merge allgather) and each mode's
+  // per-chunk agreement leaves the payload, which the gate checks exactly.
   std::printf("\nwire bytes per ingestion mode (4 ranks):\n");
   const std::size_t wire_ranks = 4;
-  const std::uint64_t stream_bytes =
-      static_cast<std::uint64_t>(sensors) * total * sizeof(double);
+  const char* mode_names[2] = {"scatterv", "per_rank"};
+  const core::IngestMode modes[2] = {core::IngestMode::Scatterv,
+                                     core::IngestMode::PerRank};
   std::uint64_t wire_totals[2] = {0, 0};
   bool wire_invariant = true;
   for (int mode_index = 0; mode_index < 2; ++mode_index) {
-    const core::IngestMode mode = mode_index == 0
-                                      ? core::IngestMode::Broadcast
-                                      : core::IngestMode::Scatterv;
+    const core::IngestMode mode = modes[mode_index];
     dist::World world(static_cast<int>(wire_ranks));
     std::vector<std::uint64_t> per_rank(wire_ranks, 0);
     std::vector<double> z;
@@ -213,11 +212,19 @@ int main(int argc, char** argv) try {
       config.ingest_options.with_mode(mode);
       core::Assessor assessor(config);
       std::optional<core::MatrixChunkSource> source;
-      if (comm.rank() == 0) source.emplace(data, initial, chunk);
+      std::optional<core::RowSliceSource> slice;
+      core::ChunkSource* feed = nullptr;
+      if (mode == core::IngestMode::PerRank) {
+        source.emplace(data, initial, chunk);
+        slice.emplace(*source, assessor.owned_sensor_rows());
+        feed = &*slice;
+      } else if (comm.rank() == 0) {
+        source.emplace(data, initial, chunk);
+        feed = &*source;
+      }
       comm.reset_wire_bytes();
       core::CollectingSink sink;
-      assessor.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
-                         core::StopCondition{});
+      assessor.run_until(feed, sink, core::StopCondition{});
       per_rank[static_cast<std::size_t>(comm.rank())] = comm.wire_bytes();
       if (comm.rank() == 0) z = sink.snapshots().back().zscores.zscores;
     });
@@ -228,18 +235,41 @@ int main(int argc, char** argv) try {
       if (z[i] != reference_z[i]) wire_invariant = false;
     }
     std::printf("  %-10s %12llu bytes total  %10.0f bytes/chunk\n",
-                mode_index == 0 ? "broadcast" : "scatterv",
+                mode_names[mode_index],
                 static_cast<unsigned long long>(wire_totals[mode_index]),
                 static_cast<double>(wire_totals[mode_index]) /
                     static_cast<double>(1 + stream_chunks));
   }
-  // Payload saving: broadcast pays (R-1) x stream payload, scatterv's
-  // slices sum to at most one stream payload — the totals must differ by
-  // the remaining (R-2) payloads.
-  const bool wire_gate =
-      wire_totals[1] + (wire_ranks - 2) * stream_bytes <= wire_totals[0];
-  std::printf("scatterv saves >= (R-2) x payload vs broadcast: %s "
-              "(bitwise invariant: %s)\n",
+  // Shared merge: per chunk, every rank receives each peer's magnitudes
+  // and means (2 doubles per sensor) plus an 8-double report per group.
+  // Agreement, one round per chunk plus the end-of-stream round: rank 0
+  // broadcasts 3 doubles under scatterv; every rank allgathers 3 under
+  // per_rank.
+  const std::uint64_t chunks_run = 1 + stream_chunks;
+  const std::uint64_t merge_bytes = chunks_run * (wire_ranks - 1) *
+                                    (2 * sensors + 8 * group_count) * 8;
+  const std::uint64_t rounds = chunks_run + 1;
+  const std::uint64_t control_bytes[2] = {
+      rounds * (wire_ranks - 1) * 3 * 8,
+      rounds * wire_ranks * (wire_ranks - 1) * 3 * 8};
+  std::uint64_t payload[2] = {0, 0};
+  for (int mode_index = 0; mode_index < 2; ++mode_index) {
+    payload[mode_index] = wire_totals[mode_index] - merge_bytes -
+                          control_bytes[mode_index];
+  }
+  const auto root_groups = core::rank_group_range(group_count, wire_ranks, 0);
+  std::uint64_t root_rows = 0;
+  for (std::size_t g = root_groups.first; g < root_groups.second; ++g) {
+    root_rows += groups[g].size();
+  }
+  const std::uint64_t owned_payload =
+      (sensors - root_rows) * total * sizeof(double);
+  const bool wire_gate = payload[0] == owned_payload && payload[1] == 0;
+  std::printf("payload: scatterv %llu bytes (non-root owned rows: %llu), "
+              "per_rank %llu bytes: %s (bitwise invariant: %s)\n",
+              static_cast<unsigned long long>(payload[0]),
+              static_cast<unsigned long long>(owned_payload),
+              static_cast<unsigned long long>(payload[1]),
               wire_gate ? "yes" : "NO", wire_invariant ? "yes" : "NO");
 
   // Prefetch-depth curve: the unified Assessor's bounded ingestion queue
@@ -335,10 +365,11 @@ int main(int argc, char** argv) try {
   json.begin_array();
   for (int mode_index = 0; mode_index < 2; ++mode_index) {
     json.begin_object();
-    json.field("mode", mode_index == 0 ? "broadcast" : "scatterv");
+    json.field("mode", mode_names[mode_index]);
     json.field("ranks", wire_ranks);
     json.field("total_wire_bytes",
                static_cast<std::size_t>(wire_totals[mode_index]));
+    json.field("payload_bytes", static_cast<std::size_t>(payload[mode_index]));
     json.field("bytes_per_chunk",
                static_cast<double>(wire_totals[mode_index]) /
                    static_cast<double>(1 + stream_chunks));

@@ -13,7 +13,7 @@
 // With --ranks N the same engine runs distributed
 // (AssessorConfig::distributed over a thread-SPMD dist::World): each rank
 // owns a contiguous slice of the rack groups, rank 0 ingests and
-// broadcasts the chunks, and output is bitwise identical to the
+// scatters each rank its rows, and output is bitwise identical to the
 // single-process run for any N.
 //
 // Durability: with --checkpoint PATH the engine's run loop atomically

@@ -1,10 +1,8 @@
 #include "core/assessor.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -27,6 +25,16 @@ Mat gather_rows(const Mat& chunk, const std::vector<std::size_t>& group) {
     std::copy(src, src + chunk.cols(), out.data() + i * chunk.cols());
   }
   return out;
+}
+
+/// Rows [offset, offset + width) of `rows`: `rows` itself when they span it
+/// (the monolithic topology reads its chunk in place), else a copy held in
+/// `scratch`.
+const Mat& row_block(const Mat& rows, std::size_t offset, std::size_t width,
+                     Mat& scratch) {
+  if (width == rows.rows()) return rows;
+  scratch = rows.block(offset, 0, width, rows.cols());
+  return scratch;
 }
 
 /// The groups must partition [0, sensors) exactly: every magnitude slot is
@@ -77,47 +85,6 @@ PartialFitReport decode_report(const double* words) {
   return report;
 }
 
-/// IMRDMD_HIERARCHY_STRIDE supplies the default coarse stride when the
-/// config never called hierarchy() — the same opt-in shape as
-/// IMRDMD_LINALG_BACKEND, so CI can re-run entire suites with the
-/// hierarchy enabled. Unset/empty means flat; anything unparsable throws
-/// (a typo must not silently run flat).
-std::size_t hierarchy_stride_from_env() {
-  const char* value = std::getenv("IMRDMD_HIERARCHY_STRIDE");
-  if (value == nullptr || *value == '\0') return 0;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  IMRDMD_REQUIRE_ARG(errno == 0 && end != value && *end == '\0',
-                     "IMRDMD_HIERARCHY_STRIDE is not a non-negative integer");
-  return static_cast<std::size_t>(parsed);
-}
-
-/// IMRDMD_INGEST_MODE supplies the default chunk delivery when the config
-/// never called IngestOptions::with_mode(). Unset/empty means broadcast;
-/// a typo throws instead of silently running the wrong mode.
-IngestMode ingest_mode_from_env() {
-  const char* value = std::getenv("IMRDMD_INGEST_MODE");
-  if (value == nullptr || *value == '\0') return IngestMode::Broadcast;
-  const std::string name(value);
-  if (name == "broadcast") return IngestMode::Broadcast;
-  if (name == "scatterv") return IngestMode::Scatterv;
-  if (name == "per_rank") return IngestMode::PerRank;
-  throw InvalidArgument(
-      "IMRDMD_INGEST_MODE must be broadcast, scatterv, or per_rank");
-}
-
-/// IMRDMD_CHECKPOINT_DELTA supplies the default delta-checkpoint setting
-/// when the policy never called with_delta(). Unset/empty/"0" means off.
-bool checkpoint_delta_from_env() {
-  const char* value = std::getenv("IMRDMD_CHECKPOINT_DELTA");
-  if (value == nullptr || *value == '\0') return false;
-  const std::string name(value);
-  if (name == "0") return false;
-  if (name == "1") return true;
-  throw InvalidArgument("IMRDMD_CHECKPOINT_DELTA must be 0 or 1");
-}
-
 /// "no row here" marker of local_row_of_sensor_.
 constexpr std::size_t kNoRow = ~std::size_t{0};
 
@@ -151,6 +118,89 @@ double chunk_digest(const Mat& chunk) {
   double digest;
   std::memcpy(&digest, &acc, sizeof digest);
   return digest;
+}
+
+/// What every replica agreed on for the next chunk: its width and start
+/// position, or (cols == 0) why the stream ended.
+struct ChunkAgreement {
+  std::size_t cols = 0;
+  std::size_t start = ChunkSource::kUnknownPosition;
+  StopReason end = StopReason::EndOfStream;
+};
+
+/// The run loop's agreement step: every replica learns the pulled chunk's
+/// width (`cols`, 0 when this replica pulled nothing) and start position,
+/// or why the stream ended — locally in a single process (`comm` null),
+/// from rank 0's broadcast under Scatterv, and from one allgather of
+/// every rank's slice under PerRank (StreamDesync when the replica
+/// streams disagree).
+ChunkAgreement agree(dist::Communicator* comm, IngestMode mode,
+                     std::size_t cols, std::size_t start,
+                     StopReason end_reason) {
+  if (comm == nullptr) return ChunkAgreement{cols, start, end_reason};
+  double meta[3] = {static_cast<double>(cols),
+                    static_cast<double>(static_cast<int>(end_reason)),
+                    encode_position(start)};
+  if (mode != IngestMode::PerRank) {
+    // Chunk handshake: rank 0 announces the next chunk's column count (0 =
+    // no more chunks, with the reason) and its stream position so peers
+    // can size their slice and verify stream continuity before any data
+    // moves.
+    comm->broadcast(std::span<double>(meta, 3), 0);
+    return ChunkAgreement{static_cast<std::size_t>(meta[0]),
+                          decode_position(meta[2]),
+                          static_cast<StopReason>(static_cast<int>(meta[1]))};
+  }
+
+  // Per-chunk agreement: every rank announces (width, end reason, stream
+  // position) of the slice it pulled; widths and known positions must
+  // agree or the replica streams have drifted apart and every rank throws
+  // StreamDesync together.
+  const std::vector<std::vector<double>> metas =
+      comm->allgatherv(std::span<const double>(meta, 3));
+  std::optional<StopReason> ended;
+  std::size_t agreed_cols = 0;
+  std::size_t agreed_start = ChunkSource::kUnknownPosition;
+  for (const auto& slot : metas) {
+    IMRDMD_REQUIRE_DIMS(slot.size() == 3,
+                        "per-rank chunk agreement slot has the wrong length");
+    const std::size_t slot_cols = static_cast<std::size_t>(slot[0]);
+    if (slot_cols == 0) {
+      if (!ended.has_value()) {
+        ended = static_cast<StopReason>(static_cast<int>(slot[1]));
+      }
+      continue;
+    }
+    if (agreed_cols != 0 && slot_cols != agreed_cols) {
+      throw StreamDesync(
+          "per-rank replica streams produced chunks of different widths (" +
+          std::to_string(agreed_cols) + " vs " + std::to_string(slot_cols) +
+          ")");
+    }
+    agreed_cols = slot_cols;
+    const std::size_t slot_start = decode_position(slot[2]);
+    if (slot_start == ChunkSource::kUnknownPosition) continue;
+    if (agreed_start != ChunkSource::kUnknownPosition &&
+        agreed_start != slot_start) {
+      throw StreamDesync("per-rank replica streams are at different "
+                         "positions (" +
+                         std::to_string(agreed_start) + " vs " +
+                         std::to_string(slot_start) + ")");
+    }
+    agreed_start = slot_start;
+  }
+  if (ended.has_value()) {
+    // Every rank computed the same (ended, cols) from the shared metas, so
+    // on a genuine length mismatch ALL ranks throw together — not just the
+    // ones still holding data.
+    if (agreed_cols != 0 && *ended != StopReason::Deadline) {
+      throw StreamDesync(
+          "some per-rank replica streams ended while others still have "
+          "data — the replicas are not the same stream");
+    }
+    return ChunkAgreement{0, ChunkSource::kUnknownPosition, *ended};
+  }
+  return ChunkAgreement{agreed_cols, agreed_start, end_reason};
 }
 
 /// A prefetched chunk with the stream position it started at (read from
@@ -304,22 +354,6 @@ Assessor::Assessor(AssessorConfig config)
           !config_.checkpoint_policy.path.empty(),
       "checkpoint policy armed (every_n > 0) without a path — the policy "
       "would be silently disarmed; set a path or every_n = 0");
-  // Resolve the effective stride once, at construction: an explicit
-  // hierarchy() call (including checkpoint resume) pins it; otherwise the
-  // environment default applies. Ingest mode and delta checkpointing
-  // follow the same pin-against-environment shape.
-  if (!config_.hierarchy_set) {
-    config_.coarse_stride = hierarchy_stride_from_env();
-    config_.hierarchy_set = true;
-  }
-  if (!config_.ingest_options.mode_set) {
-    config_.ingest_options.mode = ingest_mode_from_env();
-    config_.ingest_options.mode_set = true;
-  }
-  if (!config_.checkpoint_policy.delta_set) {
-    config_.checkpoint_policy.delta = checkpoint_delta_from_env();
-    config_.checkpoint_policy.delta_set = true;
-  }
   if (config_.sensor_count == 0) {
     // Deferred sensor count: only the single-process monolithic topology
     // can infer P from the first chunk (a sharded partition names sensor
@@ -333,7 +367,6 @@ Assessor::Assessor(AssessorConfig config)
     local_begin_ = 0;
     local_end_ = 1;
     lanes_ = 1;
-    identity_partition_ = true;
     stack_.add_fine(config_.pipeline_options.imrdmd);
   } else {
     finalize_topology(config_.sensor_count);
@@ -348,12 +381,6 @@ void Assessor::finalize_topology(std::size_t sensors) {
     groups_ = contiguous_groups(sensors_, 1);
   }
   validate_partition(groups_, sensors_);
-  if (groups_.size() == 1) {
-    identity_partition_ = true;
-    for (std::size_t i = 0; i < groups_[0].size(); ++i) {
-      if (groups_[0][i] != i) identity_partition_ = false;
-    }
-  }
 
   if (comm_ != nullptr) {
     const auto range = rank_group_range(
@@ -407,12 +434,15 @@ void Assessor::rebuild_owned_maps() {
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     for (std::size_t sensor : groups_[g]) group_of_sensor_[sensor] = g;
   }
+  identity_rows_ = true;
   for (std::size_t g = local_begin_; g < local_end_; ++g) {
     for (std::size_t sensor : groups_[g]) {
+      if (sensor != owned_rows_.size()) identity_rows_ = false;
       local_row_of_sensor_[sensor] = owned_rows_.size();
       owned_rows_.push_back(sensor);
     }
   }
+  identity_rows_ = identity_rows_ && owned_rows_.size() == sensors_;
 }
 
 void Assessor::rebalance_lanes() {
@@ -461,27 +491,6 @@ const IncrementalMrdmd& Assessor::model(std::size_t group) const {
   return stack_.fine(group - local_begin_);
 }
 
-void Assessor::update_local_groups(const Mat& chunk,
-                                   std::vector<MagnitudeUpdate>& updates) {
-  run_lanes(
-      lanes_,
-      [this, &chunk, &updates](std::size_t lane) {
-        for (std::size_t l : lane_groups_[lane]) {
-          // The identity partition (one group of all sensors, in order)
-          // feeds the chunk straight through — no per-chunk gather copy.
-          updates[l] =
-              identity_partition_
-                  ? update_magnitudes(stack_.fine(l), chunk,
-                                      config_.pipeline_options.band)
-                  : update_magnitudes(
-                        stack_.fine(l),
-                        gather_rows(chunk, groups_[local_begin_ + l]),
-                        config_.pipeline_options.band);
-        }
-      },
-      &pool());
-}
-
 AssessmentSnapshot Assessor::process(const Mat& chunk) {
   if (sensors_ == 0) finalize_topology(chunk.rows());
   IMRDMD_REQUIRE_ARG(chunk.cols() > 0,
@@ -511,71 +520,30 @@ AssessmentSnapshot Assessor::process(const Mat& chunk) {
     }
   }
 
-  return process_chunk_full(chunk);
+  // Every replica holds the whole chunk, so its owned rows and the coarse
+  // grid rows (none when flat) are plain row gathers.
+  const Mat coarse_chunk = gather_rows(chunk, stack_.coarse_rows());
+  if (identity_rows_) return process_owned(chunk, coarse_chunk);
+  return process_owned(gather_rows(chunk, owned_rows_), coarse_chunk);
 }
 
-AssessmentSnapshot Assessor::process_chunk_full(const Mat& chunk) {
-  WallTimer timer;
-  const std::size_t local_count = local_end_ - local_begin_;
-  std::vector<MagnitudeUpdate> updates(local_count);
-
-  // Coarse level first (hierarchy mode): one deterministic update per
-  // engine replica, on the caller thread — after the SPMD digest agreement
-  // above, every rank holds identical chunk bytes, so the replicated
-  // coarse models (and the residual they produce) stay bitwise identical
-  // with no extra collective. The fine models then fit the residual.
-  const bool hierarchical = stack_.hierarchical();
-  Mat residual;
-  CoarseUpdate coarse;
-  if (hierarchical) {
-    coarse = stack_.update_coarse(chunk, config_.pipeline_options.band,
-                                  residual);
-  }
-  update_local_groups(hierarchical ? residual : chunk, updates);
-  if (hierarchical) {
-    // The per-group updates above computed means of the RESIDUAL blocks;
-    // the baseline value-range rule reads physical values, so substitute
-    // the raw chunk's per-row means before the merge (row_means is
-    // per-row independent, so the merged full-width vector is bitwise
-    // row_means(chunk) — and the sliced path can substitute the same
-    // values from its raw slice alone).
-    const std::vector<double> raw = row_means(chunk);
-    for (std::size_t l = 0; l < local_count; ++l) {
-      const auto& group = groups_[local_begin_ + l];
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        updates[l].sensor_means[i] = raw[group[i]];
-      }
-    }
-  }
-  Mat journal;
-  if (config_.checkpoint_policy.delta) {
-    journal = gather_rows(chunk, owned_rows_);
-  }
-  return merge_and_score(updates, std::move(coarse), journal, chunk.cols(),
-                         timer);
-}
-
-AssessmentSnapshot Assessor::process_chunk_sliced(const Mat& local_rows,
-                                                  const Mat& coarse_chunk,
-                                                  std::size_t cols) {
+CoarseUpdate Assessor::fit_owned(const Mat& local_rows,
+                                 const Mat& coarse_chunk,
+                                 std::vector<MagnitudeUpdate>* updates) {
   IMRDMD_REQUIRE_DIMS(
-      local_rows.rows() == owned_rows_.size() && local_rows.cols() == cols,
-      "sliced chunk row count differs from this rank's owned sensor rows");
-  WallTimer timer;
-  const std::size_t local_count = local_end_ - local_begin_;
-  std::vector<MagnitudeUpdate> updates(local_count);
-
+      local_rows.rows() == owned_rows_.size(),
+      "owned chunk row count differs from this process's owned sensor rows");
+  const dmd::ModeBand& band = config_.pipeline_options.band;
   const bool hierarchical = stack_.hierarchical();
   CoarseUpdate coarse;
   Mat residual_rows;
   if (hierarchical) {
-    coarse = stack_.update_coarse_sliced(coarse_chunk,
-                                         config_.pipeline_options.band,
-                                         owned_rows_, local_rows,
-                                         residual_rows);
+    coarse = stack_.update_coarse(coarse_chunk, band, owned_rows_, local_rows,
+                                  residual_rows);
   }
   // Owned-slice layout: the rows of local group l occupy the contiguous
   // block starting at the prefix sum of the earlier owned groups' widths.
+  const std::size_t local_count = local_end_ - local_begin_;
   std::vector<std::size_t> offsets(local_count, 0);
   for (std::size_t l = 1; l < local_count; ++l) {
     offsets[l] = offsets[l - 1] + groups_[local_begin_ + l - 1].size();
@@ -583,102 +551,91 @@ AssessmentSnapshot Assessor::process_chunk_sliced(const Mat& local_rows,
   const Mat& fine_input = hierarchical ? residual_rows : local_rows;
   run_lanes(
       lanes_,
-      [this, &fine_input, &local_rows, &updates, &offsets, hierarchical,
-       cols](std::size_t lane) {
+      [&](std::size_t lane) {
         for (std::size_t l : lane_groups_[lane]) {
           const std::size_t width = groups_[local_begin_ + l].size();
-          updates[l] = update_magnitudes(
-              stack_.fine(l), fine_input.block(offsets[l], 0, width, cols),
-              config_.pipeline_options.band);
+          Mat block;
+          const Mat& input = row_block(fine_input, offsets[l], width, block);
+          if (updates == nullptr) {
+            stack_.fine(l).partial_fit(input);
+            continue;
+          }
+          MagnitudeUpdate& update = (*updates)[l];
+          update = update_magnitudes(stack_.fine(l), input, band);
           if (hierarchical) {
-            // Raw means for the baseline rule, as in the full path.
-            updates[l].sensor_means =
-                row_means(local_rows.block(offsets[l], 0, width, cols));
+            // The baseline value-range rule reads physical values, so the
+            // means come from the raw rows, not the residual.
+            Mat raw_block;
+            update.sensor_means =
+                row_means(row_block(local_rows, offsets[l], width, raw_block));
           }
         }
       },
       &pool());
-  Mat journal;
-  if (config_.checkpoint_policy.delta) journal = local_rows;
-  return merge_and_score(updates, std::move(coarse), journal, cols, timer);
+  return coarse;
 }
 
-AssessmentSnapshot Assessor::merge_and_score(
-    std::vector<MagnitudeUpdate>& updates, CoarseUpdate&& coarse,
-    const Mat& raw_rows, std::size_t cols, WallTimer timer) {
+AssessmentSnapshot Assessor::process_owned(const Mat& local_rows,
+                                           const Mat& coarse_chunk) {
+  WallTimer timer;
+  const std::size_t cols = local_rows.cols();
+  const std::size_t local_count = local_end_ - local_begin_;
+  std::vector<MagnitudeUpdate> updates(local_count);
+  CoarseUpdate coarse = fit_owned(local_rows, coarse_chunk, &updates);
+
   AssessmentSnapshot snapshot;
   snapshot.chunk_index = chunks_processed_;
   snapshot.chunk_snapshots = cols;
-  const std::size_t local_count = local_end_ - local_begin_;
-  const bool hierarchical = stack_.hierarchical();
+  // One ragged allgather (a single process keeps its own blob) carries
+  // each process's whole contribution: for each owned group, in global
+  // group order, [magnitudes | sensor_means | report]. Boundaries are
+  // recovered from the shared ownership map, so every process decodes the
+  // identical global sequence.
+  std::vector<double> local_blob;
+  local_blob.reserve(2 * owned_rows_.size() + kReportWords * local_count);
+  for (std::size_t l = 0; l < local_count; ++l) {
+    local_blob.insert(local_blob.end(), updates[l].magnitudes.begin(),
+                      updates[l].magnitudes.end());
+    local_blob.insert(local_blob.end(), updates[l].sensor_means.begin(),
+                      updates[l].sensor_means.end());
+    encode_report(local_blob, updates[l].report);
+  }
+  std::vector<std::vector<double>> blobs;
+  if (comm_ != nullptr) {
+    blobs = comm_->allgatherv(
+        std::span<const double>(local_blob.data(), local_blob.size()));
+  } else {
+    blobs.push_back(std::move(local_blob));
+  }
 
   snapshot.magnitudes.assign(sensors_, 0.0);
   snapshot.sensor_means.assign(sensors_, 0.0);
-  if (comm_ == nullptr) {
-    // Merge in deterministic group order: scatter each group's magnitudes
-    // and means back to machine sensor indices, then reconcile globally.
-    snapshot.reports.reserve(groups_.size());
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
+  snapshot.reports.resize(groups_.size());
+  for (std::size_t r = 0; r < blobs.size(); ++r) {
+    const auto range = rank_group_range(groups_.size(), blobs.size(), r);
+    const std::vector<double>& blob = blobs[r];
+    std::size_t expected = 0;
+    for (std::size_t g = range.first; g < range.second; ++g) {
+      expected += 2 * groups_[g].size() + kReportWords;
+    }
+    IMRDMD_REQUIRE_DIMS(
+        blob.size() == expected,
+        "distributed assessor rank contribution has the wrong length");
+    const double* cursor = blob.data();
+    for (std::size_t g = range.first; g < range.second; ++g) {
       const auto& group = groups_[g];
       for (std::size_t i = 0; i < group.size(); ++i) {
-        snapshot.magnitudes[group[i]] = updates[g].magnitudes[i];
-        snapshot.sensor_means[group[i]] = updates[g].sensor_means[i];
+        snapshot.magnitudes[group[i]] = cursor[i];
+        snapshot.sensor_means[group[i]] = cursor[group.size() + i];
       }
-      snapshot.reports.push_back(updates[g].report);
-    }
-  } else {
-    // One ragged allgather carries this rank's whole contribution: for
-    // each owned group, in global group order, [magnitudes | sensor_means
-    // | report]. Boundaries are recovered from the shared ownership map,
-    // so every rank decodes the identical global sequence.
-    std::vector<double> local_blob;
-    std::size_t local_values = 0;
-    for (std::size_t l = 0; l < local_count; ++l) {
-      local_values += groups_[local_begin_ + l].size();
-    }
-    local_blob.reserve(2 * local_values + kReportWords * local_count);
-    for (std::size_t l = 0; l < local_count; ++l) {
-      local_blob.insert(local_blob.end(), updates[l].magnitudes.begin(),
-                        updates[l].magnitudes.end());
-      local_blob.insert(local_blob.end(), updates[l].sensor_means.begin(),
-                        updates[l].sensor_means.end());
-      encode_report(local_blob, updates[l].report);
-    }
-    const std::vector<std::vector<double>> blobs = comm_->allgatherv(
-        std::span<const double>(local_blob.data(), local_blob.size()));
-
-    snapshot.reports.resize(groups_.size());
-    const std::size_t ranks = static_cast<std::size_t>(comm_->size());
-    for (std::size_t r = 0; r < ranks; ++r) {
-      const auto range = rank_group_range(groups_.size(), ranks, r);
-      const std::vector<double>& blob = blobs[r];
-      std::size_t expected = 0;
-      for (std::size_t g = range.first; g < range.second; ++g) {
-        expected += 2 * groups_[g].size() + kReportWords;
-      }
-      IMRDMD_REQUIRE_DIMS(
-          blob.size() == expected,
-          "distributed assessor rank contribution has the wrong length");
-      const double* cursor = blob.data();
-      for (std::size_t g = range.first; g < range.second; ++g) {
-        const auto& group = groups_[g];
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          snapshot.magnitudes[group[i]] = cursor[i];
-          snapshot.sensor_means[group[i]] = cursor[group.size() + i];
-        }
-        snapshot.reports[g] = decode_report(cursor + 2 * group.size());
-        cursor += 2 * group.size() + kReportWords;
-      }
+      snapshot.reports[g] = decode_report(cursor + 2 * group.size());
+      cursor += 2 * group.size() + kReportWords;
     }
   }
   snapshot.total_snapshots = snapshots_seen_ + cols;
   snapshot.fit_seconds = timer.seconds();
 
-  if (hierarchical) {
-    // The merged sensor_means already carry RAW per-row means (substituted
-    // by the process paths before the merge — bitwise row_means(chunk)
-    // since row means are per-row independent), so the baseline value-range
-    // rule reads physical temperatures here with no full chunk in sight.
+  if (stack_.hierarchical()) {
     snapshot.coarse_magnitudes = std::move(coarse.magnitudes);
     snapshot.coarse_report = coarse.report;
     snapshot.coarse_fit_seconds = coarse.fit_seconds;
@@ -710,7 +667,7 @@ AssessmentSnapshot Assessor::merge_and_score(
                               ? fit
                               : 0.7 * group_cost_ewma_[l] + 0.3 * fit;
   }
-  if (config_.checkpoint_policy.delta) delta_pending_.push_back(raw_rows);
+  if (config_.checkpoint_policy.delta) journal_.record(local_rows);
 
   snapshots_seen_ += cols;
   ++chunks_processed_;
@@ -734,10 +691,12 @@ void Assessor::check_stream_position(std::size_t start, std::size_t cols) {
   stream_expect_ = start + cols;
 }
 
-Mat Assessor::assemble_coarse(const Mat& local_rows, std::size_t cols) {
-  // Each rank contributes the coarse grid rows it owns, in ascending grid
-  // order; one allgatherv then lets every rank reassemble the full coarse
-  // chunk (coarse row order) bitwise identically.
+Mat Assessor::assemble_coarse(const Mat& local_rows) {
+  if (!stack_.hierarchical()) return Mat();
+  // Each process contributes the coarse grid rows it owns, in ascending
+  // grid order; one allgatherv then lets every rank reassemble the full
+  // coarse chunk (coarse row order) bitwise identically.
+  const std::size_t cols = local_rows.cols();
   const std::vector<std::size_t>& grid = stack_.coarse_rows();
   std::vector<double> mine;
   for (std::size_t j = 0; j < grid.size(); ++j) {
@@ -746,10 +705,14 @@ Mat Assessor::assemble_coarse(const Mat& local_rows, std::size_t cols) {
     const double* src = local_rows.data() + row * cols;
     mine.insert(mine.end(), src, src + cols);
   }
-  const std::vector<std::vector<double>> all = comm_->allgatherv(
-      std::span<const double>(mine.data(), mine.size()));
+  std::vector<std::vector<double>> all;
+  if (comm_ != nullptr) {
+    all = comm_->allgatherv(std::span<const double>(mine.data(), mine.size()));
+  } else {
+    all.push_back(std::move(mine));
+  }
 
-  const std::size_t ranks = static_cast<std::size_t>(comm_->size());
+  const std::size_t ranks = all.size();
   std::vector<std::size_t> owner_of_group(groups_.size(), 0);
   for (std::size_t r = 0; r < ranks; ++r) {
     const auto range = rank_group_range(groups_.size(), ranks, r);
@@ -821,7 +784,6 @@ void Assessor::add_sensors(std::size_t group, const Mat& new_rows_history) {
   sensors_ += width;
   config_.sensor_count = sensors_;
   config_.groups = groups_;
-  identity_partition_ = false;
   rebuild_owned_maps();
 
   const bool owned = group >= local_begin_ && group < local_end_;
@@ -839,7 +801,7 @@ void Assessor::add_sensors(std::size_t group, const Mat& new_rows_history) {
   }
   // The next delta checkpoint must rewrite its base: the journaled chunks
   // before the growth have the old width, so replay could not cross it.
-  delta_force_compact_ = true;
+  journal_.rebase();
   rebalance_lanes();
 }
 
@@ -854,8 +816,9 @@ bool Assessor::deliver(SnapshotSink& sink, AssessmentSnapshot&& snapshot,
     // models, so the snapshot cannot be regenerated — park it for the next
     // run's sink instead of losing it with the unwind. (An observing sink
     // leaves the snapshot untouched through the default rvalue forwarder;
-    // see SnapshotSink::on_snapshot.)
-    parked_snapshots_.push_back(std::move(snapshot));
+    // see SnapshotSink::on_snapshot.) The front keeps chunk order: a
+    // redelivered snapshot was the oldest one parked.
+    parked_snapshots_.push_front(std::move(snapshot));
     throw;
   }
   ++summary.chunks;
@@ -886,30 +849,24 @@ RunSummary Assessor::run_until(ChunkSource& source, SnapshotSink& sink,
 
 RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
                                const StopCondition& stop) {
-  const bool root = comm_ == nullptr || comm_->rank() == 0;
-  const IngestMode mode =
-      comm_ != nullptr ? config_.ingest_options.mode : IngestMode::Broadcast;
-  if (comm_ != nullptr) {
-    if (mode == IngestMode::PerRank) {
-      // Per-rank ingestion: EVERY rank pulls its own slice from its own
-      // source (e.g. a RowSliceSource over this rank's owned_sensor_rows(),
-      // or a rank-sharded reader) — rank 0 never sees the peers' bytes.
-      IMRDMD_REQUIRE_ARG(source != nullptr,
-                         "per-rank ingestion needs a chunk source on every "
-                         "rank");
-      IMRDMD_REQUIRE_ARG(
-          source->sensors() == owned_rows_.size(),
-          "per-rank source row count differs from this rank's owned sensor "
-          "rows (slice it with owned_sensor_rows())");
-    } else {
-      IMRDMD_REQUIRE_ARG(root == (source != nullptr),
-                         "the chunk source lives on rank 0 only (pass "
-                         "nullptr on the other ranks)");
-    }
-  } else {
+  const bool root = rank() == 0;
+  const bool per_rank =
+      comm_ != nullptr && config_.ingest_options.mode == IngestMode::PerRank;
+  if (per_rank) {
+    // Per-rank ingestion: EVERY rank pulls its own slice from its own
+    // source (e.g. a RowSliceSource over this rank's owned_sensor_rows(),
+    // or a rank-sharded reader) — rank 0 never sees the peers' bytes.
     IMRDMD_REQUIRE_ARG(source != nullptr,
-                       "run needs a chunk source in the single-process "
-                       "topologies");
+                       "per-rank ingestion needs a chunk source on every "
+                       "rank");
+    IMRDMD_REQUIRE_ARG(
+        source->sensors() == owned_rows_.size(),
+        "per-rank source row count differs from this rank's owned sensor "
+        "rows (slice it with owned_sensor_rows())");
+  } else {
+    IMRDMD_REQUIRE_ARG(root == (source != nullptr),
+                       "the chunk source lives on rank 0 only (a single "
+                       "process is rank 0; pass nullptr on the other ranks)");
   }
   if (sensors_ == 0 && source != nullptr) {
     finalize_topology(source->sensors());
@@ -941,30 +898,11 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
   // those chunks are folded into the models, so the results (alarms
   // included) cannot be regenerated. They count toward this run's stop
   // budgets, like the legacy drivers' parked-snapshot accounting.
-  while (!parked_snapshots_.empty()) {
-    if (const auto reason = budget_hit()) {
-      summary.reason = *reason;
-      sink.on_end(summary);
-      return summary;
-    }
+  bool keep_going = true;
+  while (keep_going && !parked_snapshots_.empty() && !budget_hit()) {
     AssessmentSnapshot snapshot = std::move(parked_snapshots_.front());
     parked_snapshots_.pop_front();
-    const std::size_t cols = snapshot.chunk_snapshots;
-    bool keep_going = true;
-    try {
-      keep_going = sink.on_snapshot(std::move(snapshot));
-    } catch (...) {
-      // Still undelivered: back to the FRONT so order is preserved.
-      parked_snapshots_.push_front(std::move(snapshot));
-      throw;
-    }
-    ++summary.chunks;
-    summary.snapshots += cols;
-    if (!keep_going) {
-      summary.reason = StopReason::SinkRequest;
-      sink.on_end(summary);
-      return summary;
-    }
+    keep_going = deliver(sink, std::move(snapshot), summary);
   }
 
   // The prefetch pull budget: of the chunks this run may still process,
@@ -974,7 +912,8 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
   // wall clock, sink stop) instead drain any over-pulled chunks back into
   // the carry queue below.
   std::unique_ptr<ChunkPrefetcher> prefetcher;
-  if (source != nullptr && config_.ingest_options.prefetch_depth > 0) {
+  if (keep_going && !budget_hit() && source != nullptr &&
+      config_.ingest_options.prefetch_depth > 0) {
     std::size_t pull_budget = ~std::size_t{0};
     if (stop.max_chunks != 0) {
       const std::size_t chunk_budget = stop.max_chunks - summary.chunks;
@@ -1016,214 +955,105 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
     return CarriedChunk{start, std::move(*chunk)};
   };
 
+  // pull -> agree -> scatter -> fit -> deliver -> checkpoint.
   try {
-    while (true) {
+    while (keep_going) {
       if (const auto reason = budget_hit()) {
         summary.reason = *reason;
         break;
       }
       std::optional<CarriedChunk> current;
       StopReason end_reason = StopReason::EndOfStream;
-      if (root) {
-        // Only rank 0 evaluates the wall clock; in the distributed
-        // topology the verdict travels in the handshake so ranks never
-        // disagree on when the stream ends (per-rank mode included —
-        // peers that already pulled a chunk park it for the next run).
-        if (stop.max_seconds > 0.0 &&
-            run_timer.seconds() >= stop.max_seconds) {
-          end_reason = StopReason::Deadline;
-        } else {
-          current = pull_next();
-        }
-      } else if (mode == IngestMode::PerRank && source != nullptr) {
+      // Only rank 0 evaluates the wall clock; the verdict travels in the
+      // agreement so ranks never disagree on when the stream ends.
+      if (root && stop.max_seconds > 0.0 &&
+          run_timer.seconds() >= stop.max_seconds) {
+        end_reason = StopReason::Deadline;
+      } else if (root || per_rank) {
         current = pull_next();
       }
-      if (comm_ != nullptr) {
-        // A zero-column chunk must fail like it does everywhere else
-        // (process() raises InvalidArgument) — never reach the handshake,
-        // where a width of 0 is the end-of-stream sentinel and would
-        // silently truncate the rest of the stream on every rank.
-        IMRDMD_REQUIRE_ARG(!current.has_value() || current->chunk.cols() > 0,
+      if (current.has_value()) {
+        // A zero-column chunk must fail like it does in process() — never
+        // reach the agreement, where a width of 0 is the end-of-stream
+        // sentinel and would silently truncate the rest of the stream.
+        IMRDMD_REQUIRE_ARG(current->chunk.cols() > 0,
                            "assessor chunk has no snapshot columns");
       }
-      AssessmentSnapshot snapshot;
-      if (comm_ == nullptr) {
-        if (!current.has_value()) {
-          summary.reason = end_reason;
-          break;
-        }
-        check_stream_position(current->start_position,
-                              current->chunk.cols());
-        snapshot = process(current->chunk);
-      } else if (mode == IngestMode::PerRank) {
-        // Per-chunk agreement: every rank announces (width, end reason,
-        // stream position) of the slice it pulled; widths and known
-        // positions must agree or the replica streams have drifted apart
-        // and every rank throws StreamDesync together.
-        const double my_meta[3] = {
-            current.has_value()
-                ? static_cast<double>(current->chunk.cols())
-                : 0.0,
-            static_cast<double>(static_cast<int>(end_reason)),
-            current.has_value() ? encode_position(current->start_position)
-                                : -1.0};
-        const std::vector<std::vector<double>> metas =
-            comm_->allgatherv(std::span<const double>(my_meta, 3));
-        std::optional<StopReason> ended;
-        std::size_t cols = 0;
-        std::size_t agreed_start = ChunkSource::kUnknownPosition;
-        for (const auto& slot : metas) {
-          IMRDMD_REQUIRE_DIMS(slot.size() == 3,
-                              "per-rank chunk agreement slot has the wrong "
-                              "length");
-          const std::size_t slot_cols = static_cast<std::size_t>(slot[0]);
-          if (slot_cols == 0) {
-            if (!ended.has_value()) {
-              ended = static_cast<StopReason>(static_cast<int>(slot[1]));
-            }
-            continue;
-          }
-          if (cols != 0 && slot_cols != cols) {
-            throw StreamDesync(
-                "per-rank replica streams produced chunks of different "
-                "widths (" + std::to_string(cols) + " vs " +
-                std::to_string(slot_cols) + ")");
-          }
-          cols = slot_cols;
-          const std::size_t slot_start = decode_position(slot[2]);
-          if (slot_start == ChunkSource::kUnknownPosition) continue;
-          if (agreed_start != ChunkSource::kUnknownPosition &&
-              agreed_start != slot_start) {
-            throw StreamDesync(
-                "per-rank replica streams are at different positions (" +
-                std::to_string(agreed_start) + " vs " +
-                std::to_string(slot_start) + ")");
-          }
-          agreed_start = slot_start;
-        }
-        if (ended.has_value()) {
-          // Every rank computed the same (ended, cols) from the shared
-          // metas, so on a genuine length mismatch ALL ranks throw
-          // together — not just the ones still holding data.
-          if (cols != 0 && *ended != StopReason::Deadline) {
-            throw StreamDesync(
-                "some per-rank replica streams ended while others still "
-                "have data — the replicas are not the same stream");
-          }
-          if (current.has_value()) {
-            // Rank 0 hit the deadline after this rank already pulled;
-            // park the chunk (front — it is the next one) for the next
-            // run so nothing is lost.
-            carry_chunks_.push_front(std::move(*current));
-          }
-          summary.reason = *ended;
-          break;
-        }
-        check_stream_position(agreed_start, cols);
-        snapshot = process_chunk_sliced(
-            current->chunk,
-            stack_.hierarchical() ? assemble_coarse(current->chunk, cols)
-                                  : Mat(),
-            cols);
-      } else {
-        // Chunk handshake: rank 0 announces the next chunk's column count
-        // (0 = no more chunks, with the reason) and its stream position so
-        // peers can size their replica and verify stream continuity before
-        // any data moves.
-        double meta[3] = {
-            root && current.has_value()
-                ? static_cast<double>(current->chunk.cols())
-                : 0.0,
-            static_cast<double>(static_cast<int>(end_reason)),
-            root && current.has_value()
-                ? encode_position(current->start_position)
-                : -1.0};
-        comm_->broadcast(std::span<double>(meta, 3), 0);
-        if (meta[0] == 0.0) {
-          summary.reason = static_cast<StopReason>(static_cast<int>(meta[1]));
-          break;
-        }
-        const std::size_t cols = static_cast<std::size_t>(meta[0]);
-        check_stream_position(decode_position(meta[2]), cols);
-        if (mode == IngestMode::Scatterv) {
-          // Row-sliced delivery: each rank receives only the rows of the
-          // groups it owns — O(P x T) total wire bytes per chunk instead
-          // of the broadcast's O(P x T x R). The send buffer is packed in
-          // rank-block order (per rank, per owned group, per sensor row),
-          // and every rank derives the identical counts from the shared
-          // ownership map.
-          std::vector<std::size_t> counts(
-              static_cast<std::size_t>(comm_->size()), 0);
-          for (std::size_t r = 0; r < counts.size(); ++r) {
-            const auto range =
-                rank_group_range(groups_.size(), counts.size(), r);
-            for (std::size_t g = range.first; g < range.second; ++g) {
-              counts[r] += groups_[g].size() * cols;
-            }
-          }
-          std::vector<double> send;
-          if (root) {
-            const Mat& chunk = current->chunk;
-            IMRDMD_REQUIRE_DIMS(
-                chunk.rows() == sensors_,
-                "assessor chunk row count differs from the configured "
-                "sensors");
-            send.reserve(static_cast<std::size_t>(sensors_) * cols);
-            for (std::size_t r = 0; r < counts.size(); ++r) {
-              const auto range =
-                  rank_group_range(groups_.size(), counts.size(), r);
-              for (std::size_t g = range.first; g < range.second; ++g) {
-                for (std::size_t sensor : groups_[g]) {
-                  const double* row = chunk.data() + sensor * cols;
-                  send.insert(send.end(), row, row + cols);
-                }
-              }
-            }
-          }
-          const std::vector<double> mine = comm_->scatterv(
-              std::span<const double>(send.data(), send.size()), counts, 0);
-          Mat local_rows(owned_rows_.size(), cols);
-          if (!mine.empty()) {
-            std::copy(mine.begin(), mine.end(), local_rows.data());
-          }
-          snapshot = process_chunk_sliced(
-              local_rows,
-              stack_.hierarchical() ? assemble_coarse(local_rows, cols)
-                                    : Mat(),
-              cols);
-        } else {
-          if (!root) {
-            current = CarriedChunk{ChunkSource::kUnknownPosition,
-                                   Mat(sensors_, cols)};
-          }
-          // Replicate the chunk. A root chunk with the wrong row count
-          // makes the buffer sizes disagree, failing on every rank
-          // together.
-          comm_->broadcast(std::span<double>(current->chunk.data(),
-                                             current->chunk.size()),
-                           0);
-          snapshot = process(current->chunk);
-        }
+      const ChunkAgreement agreed = agree(
+          comm_, config_.ingest_options.mode,
+          current.has_value() ? current->chunk.cols() : 0,
+          current.has_value() ? current->start_position
+                              : ChunkSource::kUnknownPosition,
+          end_reason);
+      if (agreed.cols == 0) {
+        // A per-rank peer that pulled before rank 0 hit the deadline parks
+        // its slice (front — it is the next one) for the next run.
+        if (current.has_value()) carry_chunks_.push_front(std::move(*current));
+        summary.reason = agreed.end;
+        break;
       }
+      check_stream_position(agreed.start, agreed.cols);
+      const Mat local_rows = scatter(current, agreed.cols);
+      AssessmentSnapshot snapshot =
+          process_owned(local_rows, assemble_coarse(local_rows));
       const std::size_t chunk_index = snapshot.chunk_index;
-      const bool keep_going = deliver(sink, std::move(snapshot), summary);
+      keep_going = deliver(sink, std::move(snapshot), summary);
       // Delivery-before-checkpoint: the sink has seen everything a
       // checkpoint written here counts as past. A failed write parks the
       // prefetched chunks like any other failure; the snapshot itself was
       // already delivered, so retrying the run loses nothing.
       maybe_checkpoint(sink, chunk_index);
-      if (!keep_going) {
-        summary.reason = StopReason::SinkRequest;
-        break;
-      }
     }
   } catch (...) {
     park_prefetched();
     throw;
   }
+  if (!keep_going) summary.reason = StopReason::SinkRequest;
   park_prefetched();
   sink.on_end(summary);
   return summary;
+}
+
+Mat Assessor::scatter(std::optional<CarriedChunk>& current, std::size_t cols) {
+  if (comm_ != nullptr && config_.ingest_options.mode == IngestMode::PerRank) {
+    return std::move(current->chunk);
+  }
+  if (current.has_value()) {
+    IMRDMD_REQUIRE_ARG(
+        current->chunk.rows() == sensors_,
+        "assessor chunk row count differs from the configured sensors");
+  }
+  if (comm_ == nullptr) {
+    return identity_rows_ ? std::move(current->chunk)
+                          : gather_rows(current->chunk, owned_rows_);
+  }
+  // Row-sliced delivery: each rank receives only the rows of the groups it
+  // owns — O(P x T) total wire bytes per chunk. Rank ranges are contiguous
+  // in global group order, so rank 0 packs every group's rows in group
+  // order, and every rank derives the identical counts from the shared
+  // ownership map.
+  std::vector<std::size_t> counts(static_cast<std::size_t>(comm_->size()), 0);
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    const auto range = rank_group_range(groups_.size(), counts.size(), r);
+    for (std::size_t g = range.first; g < range.second; ++g) {
+      counts[r] += groups_[g].size() * cols;
+    }
+  }
+  std::vector<double> send;
+  if (current.has_value()) {
+    send.reserve(sensors_ * cols);
+    for (const auto& group : groups_) {
+      for (std::size_t sensor : group) {
+        const double* row = current->chunk.data() + sensor * cols;
+        send.insert(send.end(), row, row + cols);
+      }
+    }
+  }
+  const std::vector<double> mine = comm_->scatterv(
+      std::span<const double>(send.data(), send.size()), counts, 0);
+  Mat local_rows(owned_rows_.size(), cols);
+  std::copy(mine.begin(), mine.end(), local_rows.data());
+  return local_rows;
 }
 
 std::vector<std::vector<std::size_t>> contiguous_groups(std::size_t sensors,

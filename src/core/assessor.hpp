@@ -24,24 +24,29 @@
 // an optional coarse facility model over a subsampled sensor grid whose
 // reconstruction is subtracted before the per-group models fit the
 // residual (AssessorConfig::hierarchy; flat when coarse_stride == 0). The
-// coarse update is replicated per engine replica on the caller thread, so
-// it rides the existing chunk broadcast with no new collectives.
+// coarse update is replicated per engine replica on the caller thread.
+//
+// One chunk path: a single process is the one-rank case of the
+// distributed engine. Every chunk — process(), both run loops, and the
+// delta-checkpoint replay — reaches the same sliced fit as this process's
+// owned sensor rows plus the coarse grid rows.
 //
 // Invariance contract (tests/assessor_test.cpp, tests/hierarchy_test.cpp):
 // for a fixed group partition and stride, snapshots are bitwise identical
-// across lane counts, rank counts, prefetch depths, and sync vs async
-// ingestion; flat mode is bitwise identical to the pre-hierarchy engine.
+// across lane counts, rank counts, prefetch depths, ingestion modes, and
+// sync vs async ingestion.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "core/delta_journal.hpp"
 #include "core/imrdmd.hpp"
 #include "core/model_stack.hpp"
 #include "core/stream.hpp"
@@ -139,17 +144,11 @@ struct CheckpointPolicy {
   /// model's bytes to rank 0, so the save cost is O(rows since last save),
   /// not O(model history). The engine then journals each processed chunk's
   /// owned raw rows in memory between saves — bounded by every_n chunks
-  /// when the periodic hook is armed. When delta() is never called
-  /// explicitly, the IMRDMD_CHECKPOINT_DELTA environment variable ("1"/"0")
-  /// supplies the default (mirrors IMRDMD_HIERARCHY_STRIDE, so CI can
-  /// re-run whole suites through the delta writer).
+  /// when the periodic hook is armed. Off by default (the full container).
   bool delta = false;
-  /// True once delta() ran — the environment default then stays inert.
-  bool delta_set = false;
 
   CheckpointPolicy& with_delta(bool enabled) {
     delta = enabled;
-    delta_set = true;
     return *this;
   }
 };
@@ -159,10 +158,6 @@ struct CheckpointPolicy {
 /// Results are bitwise identical across modes — the choice trades wire
 /// bytes only.
 enum class IngestMode {
-  /// Rank 0 pulls the full P x T chunk and broadcasts it whole: every rank
-  /// receives O(P*T) per chunk. Simple, and the only mode that lets
-  /// direct process() calls carry full chunks.
-  Broadcast,
   /// Rank 0 pulls the full chunk and scatters each rank exactly the rows
   /// of the groups it owns: a rank receives O(P*T / R) per chunk. In
   /// hierarchy mode the coarse grid rows ride a small allgathered
@@ -175,6 +170,8 @@ enum class IngestMode {
   /// only the per-chunk width/position agreement collective and, in
   /// hierarchy mode, the coarse side-slice.
   PerRank,
+  /// Synonym of Scatterv, kept so existing callers still compile.
+  Broadcast = Scatterv,
 };
 
 /// Ingestion policy of the run loop.
@@ -187,16 +184,11 @@ struct IngestOptions {
   /// invariant across depths — the knob trades memory for burst smoothing
   /// only.
   std::size_t prefetch_depth = 1;
-  /// Chunk delivery of the distributed run loop. When with_mode() is never
-  /// called, the IMRDMD_INGEST_MODE environment variable ("broadcast",
-  /// "scatterv", "per_rank") supplies the default.
-  IngestMode mode = IngestMode::Broadcast;
-  /// True once with_mode() ran — the environment default then stays inert.
-  bool mode_set = false;
+  /// Chunk delivery of the distributed run loop.
+  IngestMode mode = IngestMode::Scatterv;
 
   IngestOptions& with_mode(IngestMode delivery) {
     mode = delivery;
-    mode_set = true;
     return *this;
   }
 };
@@ -337,15 +329,8 @@ struct AssessorConfig {
   ThreadPool* worker_pool = nullptr;
   /// Multifidelity hierarchy: > 0 enables the coarse facility model over
   /// every coarse_stride-th sensor of each group (core/model_stack.hpp);
-  /// 0 is flat mode, bitwise identical to the pre-hierarchy engine. When
-  /// hierarchy() is never called explicitly, the IMRDMD_HIERARCHY_STRIDE
-  /// environment variable supplies the default (mirrors
-  /// IMRDMD_LINALG_BACKEND, so CI can re-run whole suites hierarchical).
+  /// 0 (the default) is flat mode.
   std::size_t coarse_stride = 0;
-  /// True once hierarchy() ran — the environment default then stays inert
-  /// (checkpoint resume always sets it explicitly, so a restored stride
-  /// can never be overridden by the environment).
-  bool hierarchy_set = false;
   /// Non-empty selects the process-wide linalg backend at construction via
   /// linalg::set_active_backend ("reference", "avx2", "openblas", or a
   /// register_backend() name). Explicit selection here beats the
@@ -392,11 +377,9 @@ struct AssessorConfig {
     worker_pool = p;
     return *this;
   }
-  /// Two-level multifidelity hierarchy; stride 0 = flat (and pins flat
-  /// against the environment default).
+  /// Two-level multifidelity hierarchy; stride 0 = flat.
   AssessorConfig& hierarchy(std::size_t stride) {
     coarse_stride = stride;
-    hierarchy_set = true;
     return *this;
   }
   AssessorConfig& linalg(std::string backend_name) {
@@ -447,9 +430,9 @@ class Assessor {
   RunSummary run_until(ChunkSource& source, SnapshotSink& sink,
                        const StopCondition& stop);
 
-  /// Distributed entry point. Under IngestMode::Broadcast and Scatterv,
-  /// rank 0 owns `source` (non-null there, null elsewhere) and the chunk
-  /// payload is shipped per the mode; under IngestMode::PerRank every rank
+  /// Distributed entry point. Under IngestMode::Scatterv rank 0 owns
+  /// `source` (non-null there, null elsewhere) and scatters each rank its
+  /// owned rows; under IngestMode::PerRank every rank
   /// passes its own source, which must yield exactly this rank's owned
   /// sensor rows (owned_sensor_rows() order — RowSliceSource over a full
   /// replica does). Every rank's sink sees the identical snapshot stream.
@@ -505,7 +488,7 @@ class Assessor {
   const IncrementalMrdmd& model(std::size_t group) const;
   /// True when the two-level hierarchy is enabled (effective stride > 0).
   bool hierarchical() const { return stack_.hierarchical(); }
-  /// Effective coarse stride (config, or the environment default); 0 flat.
+  /// Coarse stride; 0 when flat.
   std::size_t coarse_stride() const { return stack_.coarse_stride(); }
   /// The coarse facility model (InvalidArgument in flat mode). Replicated:
   /// identical on every rank of a distributed engine.
@@ -535,28 +518,29 @@ class Assessor {
   /// the deferred-monolithic constructor path).
   void finalize_topology(std::size_t sensors);
   ThreadPool& pool() const;
-  /// Runs this process's group updates across the local lanes (the
-  /// cost-balanced lane_groups_ assignment).
-  void update_local_groups(const Mat& chunk,
-                           std::vector<MagnitudeUpdate>& updates);
-  /// The full-chunk processing path (every single-process call, and the
-  /// distributed Broadcast mode).
-  AssessmentSnapshot process_chunk_full(const Mat& chunk);
-  /// The row-sliced processing path (Scatterv/PerRank): `local_rows` is
-  /// this rank's owned raw rows (owned_sensor_rows() order) and
-  /// `coarse_chunk` the assembled coarse grid rows (empty in flat mode).
-  AssessmentSnapshot process_chunk_sliced(const Mat& local_rows,
-                                          const Mat& coarse_chunk,
-                                          std::size_t cols);
-  /// The shared tail of both paths: merge the per-group updates in
-  /// deterministic group order (allgatherv in the distributed topology),
-  /// run the replicated z-score stage, fold the lane cost model, capture
-  /// the delta journal record (`raw_rows`: the owned raw rows; empty when
-  /// the journal is disarmed), and advance the counters. `timer` is the
-  /// caller's running fit timer (fit_seconds spans fit + merge).
-  AssessmentSnapshot merge_and_score(std::vector<MagnitudeUpdate>& updates,
-                                     CoarseUpdate&& coarse, const Mat& raw_rows,
-                                     std::size_t cols, WallTimer timer);
+  /// The run loop's scatter step: this process's owned rows of the agreed
+  /// chunk — the pulled slice itself under PerRank, otherwise the rows
+  /// rank 0's chunk holds for this process (one scatterv when
+  /// distributed).
+  Mat scatter(std::optional<CarriedChunk>& current, std::size_t cols);
+  /// Assembles the coarse grid rows (grid order) from every process's
+  /// owned raw rows — one allgatherv in the distributed topology.
+  Mat assemble_coarse(const Mat& local_rows);
+  /// The one sliced fit: the coarse level (hierarchy mode) fits
+  /// `coarse_chunk` and hands back the residual of `local_rows` (this
+  /// process's owned raw rows, owned_sensor_rows() order); then each owned
+  /// group's model fits its contiguous block across the local lanes. With
+  /// `updates` non-null each group's band magnitudes and raw chunk means
+  /// land in (*updates)[l]; the delta-checkpoint replay passes null and
+  /// only refits.
+  CoarseUpdate fit_owned(const Mat& local_rows, const Mat& coarse_chunk,
+                         std::vector<MagnitudeUpdate>* updates);
+  /// fit_owned, then the merge of the per-group updates in deterministic
+  /// group order (allgatherv in the distributed topology), the replicated
+  /// z-score stage, the lane cost model, the delta journal record, and
+  /// the counters.
+  AssessmentSnapshot process_owned(const Mat& local_rows,
+                                   const Mat& coarse_chunk);
   /// Rebuilds owned_rows_ / group_of_sensor_ / local_row_of_sensor_ from
   /// the current partition and ownership range.
   void rebuild_owned_maps();
@@ -564,17 +548,14 @@ class Assessor {
   /// expected stream position (StreamDesync on mismatch — deterministic,
   /// so every rank throws together) and advances the expectation.
   void check_stream_position(std::size_t start, std::size_t cols);
-  /// Assembles the full coarse grid rows from each rank's owned slice
-  /// (one allgatherv; grid row order, bitwise what update_coarse would
-  /// subsample from the full chunk).
-  Mat assemble_coarse(const Mat& local_rows, std::size_t cols);
   /// Recomputes the cost-balanced lane assignment (LPT greedy over
   /// width x observed-update-time EWMA; width alone before the first
   /// chunk). Deterministic given the cost vector; outputs are bitwise
   /// invariant under ANY assignment, so rebalancing never changes results.
   void rebalance_lanes();
-  /// Delivers one snapshot to the sink, parking it for redelivery if the
-  /// sink throws. Returns the sink's keep-going verdict.
+  /// Delivers one snapshot to the sink, parking it at the front of the
+  /// redelivery queue if the sink throws. Returns the sink's keep-going
+  /// verdict.
   bool deliver(SnapshotSink& sink, AssessmentSnapshot&& snapshot,
                RunSummary& summary);
   /// The periodic checkpoint hook (dispatches on topology), followed by a
@@ -591,8 +572,9 @@ class Assessor {
   std::size_t local_begin_ = 0;
   std::size_t local_end_ = 0;
   std::size_t lanes_ = 1;
-  /// True for the trivial partition {0..P-1}: chunks bypass the row gather.
-  bool identity_partition_ = false;
+  /// True when this process owns every sensor in machine order
+  /// (owned_rows_ == 0..P-1): chunks then need no row gather.
+  bool identity_rows_ = false;
   /// Owned machine sensor indices, group order then group-list order — the
   /// row layout of the sliced ingestion modes and the delta journal.
   std::vector<std::size_t> owned_rows_;
@@ -617,27 +599,9 @@ class Assessor {
   /// Chunks the prefetch queue consumed before a failure or early stop;
   /// the next run consumes them, in order, before advancing the source.
   std::deque<CarriedChunk> carry_chunks_;
-  // --- delta-checkpoint journal (CheckpointPolicy::delta; bookkeeping is
-  // mutable because the container writer folds it under a const engine) ---
-  /// Owned raw rows of each chunk processed since the last delta save.
-  mutable std::vector<Mat> delta_pending_;
-  /// True once this engine wrote its base record into the current epoch's
-  /// part file; saves then append the pending records instead.
-  mutable bool delta_base_written_ = false;
-  /// Forces the next delta save to rewrite the base (set by add_sensors:
-  /// the row layout changed, so pending records cannot extend the old
-  /// base).
-  mutable bool delta_force_compact_ = false;
-  /// chunks_processed_/snapshots_seen_ at the moment the base was written.
-  mutable std::size_t delta_base_chunks_ = 0;
-  mutable std::size_t delta_base_position_ = 0;
-  /// Epoch id (chunks_processed_ at base write) naming the part files.
-  mutable std::size_t delta_epoch_ = 0;
-  /// Bytes written to this rank's part file so far, and the running
-  /// FNV-1a64 digest over them — recorded in the main file so a torn
-  /// append is truncated away on load.
-  mutable std::uint64_t delta_part_bytes_ = 0;
-  mutable std::uint64_t delta_part_digest_ = 0;
+  /// The delta-checkpoint journal (CheckpointPolicy::delta): fed each
+  /// processed chunk's owned raw rows; the checkpoint module does the rest.
+  DeltaJournal journal_;
   /// Snapshots whose sink delivery threw; delivered first (front to back)
   /// by the next run — the models have already folded those chunks in, so
   /// the results cannot be regenerated.

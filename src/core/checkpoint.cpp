@@ -342,7 +342,7 @@ struct CheckpointAccess {
   /// The "IMRDFL3" rank-local delta container: every process writes (or
   /// appends to) its own part file; rank 0 atomically rewrites the main
   /// manifest. Collective in the distributed topology.
-  static void save_fleet3(const std::string& path, const Assessor& assessor);
+  static void save_fleet3(const std::string& path, Assessor& assessor);
   /// Loads an "IMRDFL3" container (`in` is the main file, magic already
   /// consumed): restores the base models from the part files, replays the
   /// journaled delta chunks through them, and validates the result against
@@ -817,8 +817,8 @@ void CheckpointAccess::save_distributed(std::ostream* out,
   if (!root) return;
 
   // Rank 0's coarse replica is every rank's coarse replica (the coarse
-  // update is deterministic over the digest-agreed broadcast chunk), so
-  // the hierarchy section needs no gather and the bytes stay rank-count
+  // update is deterministic over the agreed coarse grid rows), so the
+  // hierarchy section needs no gather and the bytes stay rank-count
   // invariant.
   put_fleet_preamble(*out, assessor, canonical_bins);
   const std::size_t ranks = static_cast<std::size_t>(comm.size());
@@ -836,9 +836,10 @@ void CheckpointAccess::save_distributed(std::ostream* out,
 }
 
 void CheckpointAccess::save_fleet3(const std::string& path,
-                                   const Assessor& assessor) {
+                                   Assessor& assessor) {
   IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
                      "cannot checkpoint a fleet before its first chunk");
+  DeltaJournal& journal = assessor.journal_;
   dist::Communicator* comm = assessor.comm_;
   const std::size_t writers =
       comm != nullptr ? static_cast<std::size_t>(comm->size()) : 1;
@@ -849,20 +850,20 @@ void CheckpointAccess::save_fleet3(const std::string& path,
   const bool canonical_bins =
       assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
 
-  // Base rewrite on the first save of this engine's life and after an
-  // elastic growth (the journaled rows then have the pre-growth layout);
-  // otherwise append only the rows processed since the last save. Every
-  // input to this decision is replicated, so all ranks agree.
-  const bool need_base =
-      !assessor.delta_base_written_ || assessor.delta_force_compact_;
-  const std::size_t old_epoch = assessor.delta_epoch_;
-  const bool had_old_epoch = assessor.delta_base_written_;
+  // Base rewrite on the first save of this engine's life, after a resume or
+  // an elastic growth, and when the target path changes; otherwise append
+  // only the rows processed since the last save. Every input to this
+  // decision is replicated, so all ranks agree.
+  const bool need_base = !journal.appendable_ || journal.path_ != path;
+  // The epoch a base rewrite supersedes at this path, retired below.
+  const std::size_t old_epoch = journal.epoch_;
+  const std::size_t old_writers = journal.path_ == path ? journal.writers_ : 0;
 
   if (need_base) {
     // A monotonic epoch names the part files, so a base rewrite never
     // touches the files the still-current main references — a crash
     // before the main rewrite leaves the previous checkpoint whole.
-    const std::size_t epoch = assessor.delta_epoch_ + 1;
+    const std::size_t epoch = journal.epoch_ + 1;
     std::ostringstream part;
     part.write(kPartMagic, sizeof kPartMagic);
     const std::size_t local_count =
@@ -887,25 +888,26 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.flush();
     if (!out) throw Error("delta checkpoint part write failed");
-    assessor.delta_part_bytes_ = bytes.size();
-    assessor.delta_part_digest_ =
+    journal.part_bytes_ = bytes.size();
+    journal.part_digest_ =
         fnv1a64(kFnvOffsetBasis, bytes.data(), bytes.size());
-    assessor.delta_epoch_ = epoch;
-    assessor.delta_base_chunks_ = assessor.chunks_processed_;
-    assessor.delta_base_position_ = assessor.snapshots_seen_;
+    journal.path_ = path;
+    journal.epoch_ = epoch;
+    journal.writers_ = writers;
+    journal.base_chunks_ = assessor.chunks_processed_;
+    journal.base_position_ = assessor.snapshots_seen_;
     // The base is the full current model state, so it subsumes whatever
     // rows were pending.
-    assessor.delta_pending_.clear();
-    assessor.delta_base_written_ = true;
-    assessor.delta_force_compact_ = false;
+    journal.pending_.clear();
+    journal.appendable_ = true;
   } else {
     std::ostringstream append;
-    for (const linalg::Mat& record : assessor.delta_pending_) {
+    for (const linalg::Mat& record : journal.pending_) {
       put_mat(append, record);
     }
     const std::string bytes = std::move(append).str();
     if (!bytes.empty()) {
-      std::ofstream out(part_path(path, writer, assessor.delta_epoch_),
+      std::ofstream out(part_path(path, writer, journal.epoch_),
                         std::ios::binary | std::ios::app);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       out.flush();
@@ -913,22 +915,22 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     }
     // The digest covers the bytes the main file will reference — a torn
     // tail past them is truncated away on load.
-    assessor.delta_part_bytes_ += bytes.size();
-    assessor.delta_part_digest_ =
-        fnv1a64(assessor.delta_part_digest_, bytes.data(), bytes.size());
-    assessor.delta_pending_.clear();
+    journal.part_bytes_ += bytes.size();
+    journal.part_digest_ =
+        fnv1a64(journal.part_digest_, bytes.data(), bytes.size());
+    journal.pending_.clear();
   }
 
   // The manifest needs every writer's (byte count, digest). The digest
   // travels as two exact 32-bit halves — doubles carry 32-bit integers
   // exactly, a raw 64-bit reinterpretation could be NaN.
-  std::vector<std::uint64_t> all_bytes{assessor.delta_part_bytes_};
-  std::vector<std::uint64_t> all_digest{assessor.delta_part_digest_};
+  std::vector<std::uint64_t> all_bytes{journal.part_bytes_};
+  std::vector<std::uint64_t> all_digest{journal.part_digest_};
   if (comm != nullptr) {
     const double mine[3] = {
-        static_cast<double>(assessor.delta_part_bytes_),
-        static_cast<double>(assessor.delta_part_digest_ >> 32),
-        static_cast<double>(assessor.delta_part_digest_ & 0xffffffffull)};
+        static_cast<double>(journal.part_bytes_),
+        static_cast<double>(journal.part_digest_ >> 32),
+        static_cast<double>(journal.part_digest_ & 0xffffffffull)};
     const std::vector<std::vector<double>> gathered =
         comm->gatherv(std::span<const double>(mine, 3), 0);
     if (root) {
@@ -973,25 +975,27 @@ void CheckpointAccess::save_fleet3(const std::string& path,
           put_f64(out, ip.w);
         }
       }
-      put_u64(out, assessor.delta_epoch_);
+      put_u64(out, journal.epoch_);
       put_u64(out, writers);
       for (std::size_t w = 0; w < writers; ++w) {
         put_u64(out, all_bytes[w]);
         put_u64(out, all_digest[w]);
       }
-      put_u64(out, assessor.delta_base_chunks_);
-      put_u64(out, assessor.delta_base_position_);
+      put_u64(out, journal.base_chunks_);
+      put_u64(out, journal.base_position_);
       if (!out) throw Error("delta checkpoint manifest write failed");
     });
   }
-  if (need_base && had_old_epoch) {
-    // Old-epoch cleanup only after the new main is durable (the barrier
-    // orders every rank's removal after rank 0's rewrite). A crash before
-    // this point merely orphans the new epoch's files; a resumed process
-    // that died here orphans the old ones — both are garbage, never
-    // corruption, since the main always names its exact parts.
+  if (need_base && old_writers > 0) {
+    // Retire every part of the superseded epoch at this path — including
+    // those of writers a resume at fewer ranks no longer has — only after
+    // the new main is durable (the barrier orders every rank's removal
+    // after rank 0's rewrite). A crash before this point merely orphans
+    // files; the main always names its exact parts.
     if (comm != nullptr) comm->barrier();
-    std::remove(part_path(path, writer, old_epoch).c_str());
+    for (std::size_t w = writer; w < old_writers; w += writers) {
+      std::remove(part_path(path, w, old_epoch).c_str());
+    }
   }
 }
 
@@ -1176,49 +1180,41 @@ RestoredAssessor CheckpointAccess::load_fleet3(
         "position");
   }
 
-  const dmd::ModeBand band = parsed.stage_options.band;
   RestoredAssessor restored = assemble(std::move(parsed), comm, resume);
   Assessor& assessor = restored.assessor;
 
-  // Replay: rebuild each journaled chunk at full width from the per-writer
-  // slices and refold it — the identical deterministic operations the live
-  // engine ran (replicated coarse update, per-group partial fits), so the
-  // resumed models are bitwise the live ones.
-  const std::size_t sensors = assessor.sensors_;
+  // Replay: each journaled chunk reaches the engine's one sliced fit as this
+  // process's owned rows plus the coarse grid rows, gathered from the
+  // writers' slices — the identical deterministic operations the live
+  // engine ran, so the resumed models are bitwise the live ones. A sensor's
+  // row sits in the slice of the writer that owned its group.
+  std::vector<std::pair<std::size_t, std::size_t>> slice_row(
+      assessor.sensors_);
+  for (std::size_t w = 0; w < writers; ++w) {
+    const auto range = rank_group_range(assessor.groups_.size(), writers, w);
+    std::size_t row = 0;
+    for (std::size_t g = range.first; g < range.second; ++g) {
+      for (std::size_t sensor : assessor.groups_[g]) {
+        slice_row[sensor] = {w, row++};
+      }
+    }
+  }
+  const auto gather = [&](const std::vector<std::size_t>& sensors,
+                          std::size_t record) {
+    const std::size_t cols = record_cols[record];
+    linalg::Mat rows(sensors.size(), cols);
+    for (std::size_t k = 0; k < sensors.size(); ++k) {
+      const auto [w, row] = slice_row[sensors[k]];
+      const double* src = writer_records[w][record].data() + row * cols;
+      std::copy(src, src + cols, rows.data() + k * cols);
+    }
+    return rows;
+  };
+  // (A flat stack's coarse grid is empty, so its coarse rows are too.)
+  const std::vector<std::size_t>& owned = assessor.owned_rows_;
+  const std::vector<std::size_t>& grid = assessor.stack_.coarse_rows();
   for (std::size_t i = 0; i < record_count; ++i) {
-    const std::size_t cols = record_cols[i];
-    linalg::Mat chunk(sensors, cols);
-    for (std::size_t w = 0; w < writers; ++w) {
-      const auto range =
-          rank_group_range(assessor.groups_.size(), writers, w);
-      const linalg::Mat& slice = writer_records[w][i];
-      std::size_t row = 0;
-      for (std::size_t g = range.first; g < range.second; ++g) {
-        for (std::size_t sensor : assessor.groups_[g]) {
-          std::copy(slice.data() + row * cols,
-                    slice.data() + (row + 1) * cols,
-                    chunk.data() + sensor * cols);
-          ++row;
-        }
-      }
-    }
-    linalg::Mat residual;
-    if (hierarchical) {
-      assessor.stack_.update_coarse(chunk, band, residual);
-    }
-    const linalg::Mat& fine_input = hierarchical ? residual : chunk;
-    const std::size_t local_count =
-        assessor.local_end_ - assessor.local_begin_;
-    for (std::size_t l = 0; l < local_count; ++l) {
-      const auto& group = assessor.groups_[assessor.local_begin_ + l];
-      linalg::Mat block(group.size(), cols);
-      for (std::size_t r = 0; r < group.size(); ++r) {
-        std::copy(fine_input.data() + group[r] * cols,
-                  fine_input.data() + (group[r] + 1) * cols,
-                  block.data() + r * cols);
-      }
-      assessor.stack_.fine(l).partial_fit(block);
-    }
+    assessor.fit_owned(gather(owned, i), gather(grid, i), nullptr);
   }
 
   // Post-replay coherence: every restored model must have arrived exactly
@@ -1235,10 +1231,13 @@ RestoredAssessor CheckpointAccess::load_fleet3(
     throw ParseError(
         "delta checkpoint replay out of sync with the coarse model");
   }
-  // Hand the loaded epoch to the resumed journal: its next base write must
-  // pick a FRESH epoch — the main file it read still references this one,
-  // and a crash mid-rewrite must leave that reference loadable.
-  assessor.delta_epoch_ = static_cast<std::size_t>(epoch);
+  // Hand the loaded epoch to the resumed journal: its first save rewrites
+  // the base under a FRESH epoch (the main file read here still references
+  // this one, and a crash mid-rewrite must leave that reference loadable),
+  // then retires every part of this one.
+  assessor.journal_.path_ = path;
+  assessor.journal_.epoch_ = static_cast<std::size_t>(epoch);
+  assessor.journal_.writers_ = static_cast<std::size_t>(writers);
   return restored;
 }
 
@@ -1255,9 +1254,7 @@ RestoredAssessor CheckpointAccess::assemble(
   config.ingest_options = resume.ingest;
   config.worker_pool = resume.pool;
   config.checkpoint_policy = resume.checkpoint;
-  // The stride always comes from the container — explicitly, through
-  // hierarchy(), so the IMRDMD_HIERARCHY_STRIDE environment default can
-  // never override a resumed stream's topology ("IMRDFL1"/"IMRDPL1" files
+  // The stride always comes from the container ("IMRDFL1"/"IMRDPL1" files
   // load as stride-disabled flat stacks).
   config.hierarchy(static_cast<std::size_t>(parsed.coarse_stride));
   // The constructor re-validates the partition (disjoint, total cover) and
@@ -1353,7 +1350,7 @@ void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor) {
 }
 
 void save_assessor_checkpoint_file(const std::string& path,
-                                   const Assessor& assessor) {
+                                   Assessor& assessor) {
   if (assessor.config().checkpoint_policy.delta) {
     // The delta policy selects the rank-local IMRDFL3 container: every
     // process writes its own part file (no model-byte gather), rank 0

@@ -37,8 +37,7 @@
 // Cross-loading: a pipeline checkpoint loads as a one-group flat assessor,
 // and any flat container resumes into any topology — the monolithic,
 // sharded, and distributed topologies share one durable representation.
-// The resumed stride always comes from the container (never from the
-// IMRDMD_HIERARCHY_STRIDE environment default).
+// The resumed stride always comes from the container.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +95,12 @@ void save_assessor_checkpoint(std::ostream& out, const Assessor& assessor);
 void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor);
 /// Atomic (write-temp-then-rename) on the writing rank; dispatches on the
 /// engine's topology (this is the periodic checkpoint hook's entry point).
+/// Under CheckpointPolicy::delta it writes the rank-local "IMRDFL3"
+/// container through the engine's DeltaJournal (hence the non-const
+/// engine): a base rewrite retires every part of the epoch it supersedes
+/// at `path`, including the epoch a resumed engine was loaded from.
 void save_assessor_checkpoint_file(const std::string& path,
-                                   const Assessor& assessor);
+                                   Assessor& assessor);
 
 /// Restores a single-process engine mid-stream (the sharded topology, or
 /// monolithic when the container holds one identity group). NOT collective.

@@ -95,48 +95,12 @@ void ModelStack::subtract_interpolated(std::size_t sensor, const double* raw,
   }
 }
 
-CoarseUpdate ModelStack::update_coarse(const Mat& chunk,
+CoarseUpdate ModelStack::update_coarse(const Mat& coarse_chunk,
                                        const dmd::ModeBand& band,
-                                       Mat& residual) {
-  IMRDMD_REQUIRE_ARG(coarse_ != nullptr,
-                     "update_coarse on a flat stack");
-  IMRDMD_REQUIRE_DIMS(chunk.rows() == interp_.size(),
-                      "chunk row count differs from the hierarchy's sensors");
-  const std::size_t cols = chunk.cols();
-
-  Mat coarse_chunk(rows_.size(), cols);
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    const double* src = chunk.data() + rows_[r] * cols;
-    std::copy(src, src + cols, coarse_chunk.data() + r * cols);
-  }
-
-  CoarseUpdate update;
-  WallTimer timer;
-  const Mat recon = fit_coarse(coarse_chunk, update);
-
-  residual = Mat(chunk.rows(), cols);
-  for (std::size_t p = 0; p < interp_.size(); ++p) {
-    subtract_interpolated(p, chunk.data() + p * cols, recon,
-                          residual.data() + p * cols, cols);
-  }
-  update.fit_seconds = timer.seconds();
-
-  const std::vector<double> coarse_mags = coarse_->magnitudes(&band);
-  update.magnitudes.resize(interp_.size());
-  for (std::size_t p = 0; p < interp_.size(); ++p) {
-    const Interp& ip = interp_[p];
-    update.magnitudes[p] =
-        (1.0 - ip.w) * coarse_mags[ip.lo] + ip.w * coarse_mags[ip.hi];
-  }
-  return update;
-}
-
-CoarseUpdate ModelStack::update_coarse_sliced(
-    const Mat& coarse_chunk, const dmd::ModeBand& band,
-    const std::vector<std::size_t>& sensors, const Mat& raw_rows,
-    Mat& residual_rows) {
-  IMRDMD_REQUIRE_ARG(coarse_ != nullptr,
-                     "update_coarse_sliced on a flat stack");
+                                       const std::vector<std::size_t>& sensors,
+                                       const Mat& raw_rows,
+                                       Mat& residual_rows) {
+  IMRDMD_REQUIRE_ARG(coarse_ != nullptr, "update_coarse on a flat stack");
   IMRDMD_REQUIRE_DIMS(coarse_chunk.rows() == rows_.size(),
                       "coarse chunk row count differs from the grid");
   IMRDMD_REQUIRE_DIMS(raw_rows.rows() == sensors.size() &&

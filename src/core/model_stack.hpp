@@ -15,10 +15,10 @@
 // invariance): the coarse grid is a pure function of (groups, stride) — for
 // each group, in group order, every coarse_stride-th sensor of the group's
 // list (each group contributes at least its first sensor) — and
-// update_coarse is a deterministic function of the chunk bytes and the
+// update_coarse is a deterministic function of the coarse grid rows and the
 // coarse model state, run unsharded on the caller thread. Every rank of a
-// distributed engine replicates it on the broadcast chunk, so no new
-// collective traffic is needed and the replicas agree bitwise forever.
+// distributed engine replicates it on the same grid rows, so the replicas
+// agree bitwise forever.
 #pragma once
 
 #include <cstddef>
@@ -77,29 +77,18 @@ class ModelStack {
   const std::vector<std::size_t>& coarse_rows() const { return rows_; }
   const IncrementalMrdmd& coarse() const;
 
-  /// Folds `chunk` (full width P x T) into the coarse level: subsamples the
-  /// coarse grid rows, fits them (initial fit on the first call),
-  /// reconstructs the chunk's own time window, interpolates the
-  /// reconstruction back to full width, and writes `chunk - interpolated`
-  /// into `residual` (resized to chunk's shape). Returns the interpolated
-  /// coarse magnitudes and fit diagnostics. Must run on ONE thread per
-  /// engine replica, before the fine updates.
-  CoarseUpdate update_coarse(const Mat& chunk, const dmd::ModeBand& band,
-                             Mat& residual);
-
-  /// Row-sliced variant for the scatterv/per-rank ingestion modes, where no
-  /// replica holds the full chunk: `coarse_chunk` is the pre-assembled
-  /// coarse grid rows (coarse row order — byte-identical to what
-  /// update_coarse would subsample), `sensors`/`raw_rows` are the machine
-  /// indices and raw values of the rows this replica owns, and
-  /// `residual_rows` receives their residual. The coarse fit, the
-  /// per-sensor residual arithmetic, and the interpolated magnitudes are
-  /// the same operations as update_coarse, so a sliced replica stays
-  /// bitwise identical to a full-chunk one.
-  CoarseUpdate update_coarse_sliced(const Mat& coarse_chunk,
-                                    const dmd::ModeBand& band,
-                                    const std::vector<std::size_t>& sensors,
-                                    const Mat& raw_rows, Mat& residual_rows);
+  /// Folds one chunk into the coarse level: `coarse_chunk` is the chunk's
+  /// coarse grid rows (coarse row order), fitted into the coarse model
+  /// (initial fit on the first call); `sensors`/`raw_rows` are the machine
+  /// indices and raw values of the rows the caller owns, and
+  /// `residual_rows` receives each one's raw row minus the interpolated
+  /// reconstruction of the chunk's own time window. Returns the
+  /// interpolated coarse magnitudes (full sensor width) and fit
+  /// diagnostics. Must run on ONE thread per engine replica, before the
+  /// fine updates.
+  CoarseUpdate update_coarse(const Mat& coarse_chunk, const dmd::ModeBand& band,
+                             const std::vector<std::size_t>& sensors,
+                             const Mat& raw_rows, Mat& residual_rows);
 
   /// Elastic growth: extends the coarse level for `new_sensors` (machine
   /// indices, appended to one group by the engine) whose raw history is
@@ -145,11 +134,10 @@ class ModelStack {
   };
 
   /// Fits `coarse_chunk` into the coarse model and returns the
-  /// reconstruction of the chunk's own window — the shared head of
-  /// update_coarse and update_coarse_sliced.
+  /// reconstruction of the chunk's own window.
   Mat fit_coarse(const Mat& coarse_chunk, CoarseUpdate& update);
   /// Residual of one sensor's raw row against the interpolated coarse
-  /// reconstruction — the shared per-row arithmetic of both variants.
+  /// reconstruction — shared by update_coarse and grow_coarse.
   void subtract_interpolated(std::size_t sensor, const double* raw,
                              const Mat& recon, double* out,
                              std::size_t cols) const;

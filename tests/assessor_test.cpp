@@ -30,6 +30,8 @@ using core::Mat;
 using core::PipelineOptions;
 using core::StopCondition;
 using core::StopReason;
+using imrdmd::testing::expect_snapshot_equal;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 using MatChunkSource = core::MatrixChunkSource;
@@ -53,20 +55,6 @@ void expect_bitwise_equal(const std::vector<double>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "index " << i;
   }
-}
-
-void expect_snapshot_equal(const AssessmentSnapshot& a,
-                           const AssessmentSnapshot& b) {
-  EXPECT_EQ(a.chunk_index, b.chunk_index);
-  EXPECT_EQ(a.chunk_snapshots, b.chunk_snapshots);
-  EXPECT_EQ(a.total_snapshots, b.total_snapshots);
-  expect_bitwise_equal(a.magnitudes, b.magnitudes);
-  expect_bitwise_equal(a.sensor_means, b.sensor_means);
-  expect_bitwise_equal(a.zscores.zscores, b.zscores.zscores);
-  EXPECT_EQ(a.zscores.baseline_sensors, b.zscores.baseline_sensors);
-  expect_bitwise_equal(a.coarse_magnitudes, b.coarse_magnitudes);
-  expect_bitwise_equal(a.coarse_zscores, b.coarse_zscores);
-  expect_bitwise_equal(a.residual_zscores, b.residual_zscores);
 }
 
 std::vector<AssessmentSnapshot> collect_run(Assessor& assessor,
@@ -95,12 +83,14 @@ class CountingSource final : public ChunkSource {
   std::size_t pulls_ = 0;
 };
 
-TEST(Assessor, MonolithicIsPrefetchDepthInvariantBitwise) {
+void monolithic_is_prefetch_depth_invariant_bitwise(std::size_t stride) {
   const Mat data = assessor_data();
   // Reference: fully synchronous ingestion (depth 0).
   MatChunkSource source(data, 256, 64);
   AssessorConfig reference_config;
-  reference_config.pipeline(assessor_pipeline_options()).monolithic();
+  reference_config.pipeline(assessor_pipeline_options())
+      .monolithic()
+      .hierarchy(stride);
   reference_config.ingest_options.prefetch_depth = 0;
   Assessor reference_engine(reference_config);
   const auto reference = collect_run(reference_engine, source);
@@ -108,7 +98,7 @@ TEST(Assessor, MonolithicIsPrefetchDepthInvariantBitwise) {
 
   for (const std::size_t depth : {1u, 2u, 4u}) {
     AssessorConfig config;
-    config.pipeline(assessor_pipeline_options()).monolithic();
+    config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
     config.ingest_options.prefetch_depth = depth;
     Assessor assessor(config);
     // The monolithic topology infers the sensor count from the stream.
@@ -126,19 +116,25 @@ TEST(Assessor, MonolithicIsPrefetchDepthInvariantBitwise) {
   }
 }
 
-TEST(Assessor, ShardedMatchesMonolithicBitwiseAcrossLanesAndDepths) {
+TEST(Assessor, MonolithicIsPrefetchDepthInvariantBitwise) {
+  for_each_stride(monolithic_is_prefetch_depth_invariant_bitwise);
+}
+
+void sharded_matches_monolithic_bitwise_across_lanes_and_depths(
+    std::size_t stride) {
   // The scatter/merge seam is invisible: a sharded engine over any lane
   // count and prefetch depth reproduces the monolithic engine's stream
   // bitwise (the trivial one-group partition and a real partition both run
-  // through the same merge). Holds under the session's hierarchy default
-  // too — the coarse model is replicated identically either way.
+  // through the same merge). Holds at every stride — the coarse model is
+  // replicated identically either way.
   const Mat data = assessor_data();
   const auto groups = core::contiguous_groups(data.rows(), 5);
 
   AssessorConfig reference_config;
   reference_config.pipeline(assessor_pipeline_options())
       .sharded(groups, 1)
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   reference_config.ingest_options.prefetch_depth = 0;
   Assessor reference_engine(reference_config);
   MatChunkSource source(data, 256, 64);
@@ -150,7 +146,8 @@ TEST(Assessor, ShardedMatchesMonolithicBitwiseAcrossLanesAndDepths) {
       AssessorConfig config;
       config.pipeline(assessor_pipeline_options())
           .sharded(groups, lanes)
-          .sensors(data.rows());
+          .sensors(data.rows())
+          .hierarchy(stride);
       config.ingest_options.prefetch_depth = depth;
       Assessor assessor(config);
       MatChunkSource replay(data, 256, 64);
@@ -163,14 +160,19 @@ TEST(Assessor, ShardedMatchesMonolithicBitwiseAcrossLanesAndDepths) {
   }
 }
 
-TEST(DistributedAssessor, MatchesSingleProcessBitwiseAcrossRanks) {
+TEST(Assessor, ShardedMatchesMonolithicBitwiseAcrossLanesAndDepths) {
+  for_each_stride(sharded_matches_monolithic_bitwise_across_lanes_and_depths);
+}
+
+void matches_single_process_bitwise_across_ranks(std::size_t stride) {
   const Mat data = assessor_data();
   const auto groups = core::contiguous_groups(data.rows(), 5);
 
   AssessorConfig reference_config;
   reference_config.pipeline(assessor_pipeline_options())
       .sharded(groups)
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor reference_engine(reference_config);
   MatChunkSource reference_source(data, 256, 64);
   const auto reference = collect_run(reference_engine, reference_source);
@@ -183,7 +185,8 @@ TEST(DistributedAssessor, MatchesSingleProcessBitwiseAcrossRanks) {
       config.pipeline(assessor_pipeline_options())
           .sharded(groups, 1)
           .sensors(data.rows())
-          .distributed(comm);
+          .distributed(comm)
+          .hierarchy(stride);
       Assessor assessor(config);
       std::optional<MatChunkSource> source;
       if (comm.rank() == 0) source.emplace(data, 256, 64);
@@ -199,11 +202,16 @@ TEST(DistributedAssessor, MatchesSingleProcessBitwiseAcrossRanks) {
   }
 }
 
-TEST(Assessor, RunUntilMaxChunksStopsWithoutOverConsumingTheSource) {
+TEST(DistributedAssessor, MatchesSingleProcessBitwiseAcrossRanks) {
+  for_each_stride(matches_single_process_bitwise_across_ranks);
+}
+
+void run_until_max_chunks_stops_without_over_consuming_the_source(
+    std::size_t stride) {
   const Mat data = assessor_data();
   for (const std::size_t depth : {1u, 4u}) {
     AssessorConfig config;
-    config.pipeline(assessor_pipeline_options()).monolithic();
+    config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
     config.ingest_options.prefetch_depth = depth;
     Assessor assessor(config);
     CountingSource source(data, 256, 64);
@@ -220,10 +228,14 @@ TEST(Assessor, RunUntilMaxChunksStopsWithoutOverConsumingTheSource) {
   }
 }
 
-TEST(Assessor, RunUntilSnapshotBudgetParksOverPulledChunks) {
+TEST(Assessor, RunUntilMaxChunksStopsWithoutOverConsumingTheSource) {
+  for_each_stride(run_until_max_chunks_stops_without_over_consuming_the_source);
+}
+
+void run_until_snapshot_budget_parks_over_pulled_chunks(std::size_t stride) {
   const Mat data = assessor_data();
   AssessorConfig config;
-  config.pipeline(assessor_pipeline_options()).monolithic();
+  config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
   config.ingest_options.prefetch_depth = 4;
   Assessor assessor(config);
   MatChunkSource source(data, 256, 64);
@@ -243,10 +255,14 @@ TEST(Assessor, RunUntilSnapshotBudgetParksOverPulledChunks) {
   EXPECT_EQ(rest.snapshots().back().total_snapshots, data.cols());
 }
 
-TEST(Assessor, RunUntilDeadlineStopsBetweenChunks) {
+TEST(Assessor, RunUntilSnapshotBudgetParksOverPulledChunks) {
+  for_each_stride(run_until_snapshot_budget_parks_over_pulled_chunks);
+}
+
+void run_until_deadline_stops_between_chunks(std::size_t stride) {
   const Mat data = assessor_data();
   AssessorConfig config;
-  config.pipeline(assessor_pipeline_options()).monolithic();
+  config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
   Assessor assessor(config);
   MatChunkSource source(data, 256, 64);
   CollectingSink sink;
@@ -262,10 +278,14 @@ TEST(Assessor, RunUntilDeadlineStopsBetweenChunks) {
   EXPECT_EQ(rest.snapshots().back().total_snapshots, data.cols());
 }
 
-TEST(Assessor, SinkRequestedStopEndsTheRunWithoutDataLoss) {
+TEST(Assessor, RunUntilDeadlineStopsBetweenChunks) {
+  for_each_stride(run_until_deadline_stops_between_chunks);
+}
+
+void sink_requested_stop_ends_the_run_without_data_loss(std::size_t stride) {
   const Mat data = assessor_data();
   AssessorConfig config;
-  config.pipeline(assessor_pipeline_options()).monolithic();
+  config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
   config.ingest_options.prefetch_depth = 2;
   Assessor assessor(config);
   MatChunkSource source(data, 256, 64);
@@ -290,7 +310,11 @@ TEST(Assessor, SinkRequestedStopEndsTheRunWithoutDataLoss) {
   EXPECT_EQ(rest.snapshots().back().total_snapshots, data.cols());
 }
 
-TEST(Assessor, FailsFastWhenCheckpointPolicyIsUnresumable) {
+TEST(Assessor, SinkRequestedStopEndsTheRunWithoutDataLoss) {
+  for_each_stride(sink_requested_stop_ends_the_run_without_data_loss);
+}
+
+void fails_fast_when_checkpoint_policy_is_unresumable(std::size_t stride) {
   // Arming a checkpoint policy over a source that cannot report a position
   // would write checkpoints that can never be seek'd on resume: typed
   // rejection at run() start, before anything is pulled from the source.
@@ -314,7 +338,7 @@ TEST(Assessor, FailsFastWhenCheckpointPolicyIsUnresumable) {
   };
 
   AssessorConfig config;
-  config.pipeline(assessor_pipeline_options()).monolithic();
+  config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
   config.checkpoint_policy.every_n = 1;
   config.checkpoint_policy.path = ::testing::TempDir() + "/assessor.ckpt";
   Assessor assessor(config);
@@ -324,40 +348,54 @@ TEST(Assessor, FailsFastWhenCheckpointPolicyIsUnresumable) {
   EXPECT_EQ(source.pulls_, 0u) << "the failed run consumed the source";
   // The same source runs fine with the policy disarmed.
   AssessorConfig ok;
-  ok.pipeline(assessor_pipeline_options()).monolithic();
+  ok.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
   Assessor unarmed(ok);
   EXPECT_EQ(collect_run(unarmed, source).size(), 1u);
 }
 
-TEST(Assessor, ArmedCheckpointPolicyWithoutPathRejected) {
+TEST(Assessor, FailsFastWhenCheckpointPolicyIsUnresumable) {
+  for_each_stride(fails_fast_when_checkpoint_policy_is_unresumable);
+}
+
+void armed_checkpoint_policy_without_path_rejected(std::size_t stride) {
   // every_n > 0 with an empty path used to silently disarm the periodic
   // hook; it is a typed configuration error.
   AssessorConfig config;
-  config.pipeline(assessor_pipeline_options()).monolithic();
+  config.pipeline(assessor_pipeline_options()).monolithic().hierarchy(stride);
   config.checkpoint_policy.every_n = 2;
   EXPECT_THROW(Assessor{config}, InvalidArgument);
 }
 
-TEST(Assessor, SensorCountRequiredOutsideMonolithicTopology) {
+TEST(Assessor, ArmedCheckpointPolicyWithoutPathRejected) {
+  for_each_stride(armed_checkpoint_policy_without_path_rejected);
+}
+
+void sensor_count_required_outside_monolithic_topology(std::size_t stride) {
   AssessorConfig config;
   config.pipeline(assessor_pipeline_options())
-      .sharded(core::contiguous_groups(8, 2));
+      .sharded(core::contiguous_groups(8, 2))
+      .hierarchy(stride);
   EXPECT_THROW(Assessor{config}, InvalidArgument);
 }
 
-TEST(Assessor, CheckpointRoundTripsAndResavesByteIdentically) {
+TEST(Assessor, SensorCountRequiredOutsideMonolithicTopology) {
+  for_each_stride(sensor_count_required_outside_monolithic_topology);
+}
+
+void checkpoint_round_trips_and_resaves_byte_identically(std::size_t stride) {
   // Serialization is a pure function of the engine's resumable state: a
   // load-then-resave reproduces the container byte for byte, and the
-  // restored engine continues the stream bitwise-identically. Runs under
-  // the session's hierarchy default, so the CI hierarchy row exercises the
-  // IMRDFL2 container through the same assertions.
+  // restored engine continues the stream bitwise-identically. The
+  // hierarchical stride exercises the IMRDFL2 container through the same
+  // assertions.
   const Mat data = assessor_data();
   const auto groups = core::contiguous_groups(data.rows(), 3);
 
   AssessorConfig config;
   config.pipeline(assessor_pipeline_options())
       .sharded(groups)
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor assessor(config);
   MatChunkSource replay(data, 256, 64);
   CollectingSink sink;
@@ -380,6 +418,10 @@ TEST(Assessor, CheckpointRoundTripsAndResavesByteIdentically) {
   const Mat chunk = data.block(0, 320, data.rows(), 64);
   expect_snapshot_equal(restored.assessor.process(chunk),
                         assessor.process(chunk));
+}
+
+TEST(Assessor, CheckpointRoundTripsAndResavesByteIdentically) {
+  for_each_stride(checkpoint_round_trips_and_resaves_byte_identically);
 }
 
 TEST(Assessor, LegacyPipelineCheckpointResumesThroughTheEngine) {
@@ -444,7 +486,8 @@ TEST(Assessor, LegacyPipelineContainerRefusesNonFlatEngines) {
                InvalidArgument);
 }
 
-TEST(DistributedAssessor, ZeroColumnChunkMidStreamFailsInsteadOfTruncating) {
+void zero_column_chunk_mid_stream_fails_instead_of_truncating(
+    std::size_t stride) {
   // Regression: a 0-column chunk's width is the handshake's end-of-stream
   // sentinel — it must raise the same InvalidArgument process() raises
   // everywhere else, not silently end the run and drop the rest of the
@@ -474,7 +517,8 @@ TEST(DistributedAssessor, ZeroColumnChunkMidStreamFailsInsteadOfTruncating) {
         config.pipeline(assessor_pipeline_options())
             .sharded(core::contiguous_groups(data.rows(), 3), 1)
             .sensors(data.rows())
-            .distributed(comm);
+            .distributed(comm)
+            .hierarchy(stride);
         Assessor assessor(config);
         std::optional<GapSource> source;
         if (comm.rank() == 0) source.emplace(data);
@@ -485,7 +529,11 @@ TEST(DistributedAssessor, ZeroColumnChunkMidStreamFailsInsteadOfTruncating) {
       InvalidArgument);
 }
 
-TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
+TEST(DistributedAssessor, ZeroColumnChunkMidStreamFailsInsteadOfTruncating) {
+  for_each_stride(zero_column_chunk_mid_stream_fails_instead_of_truncating);
+}
+
+void periodic_checkpoint_hook_writes_portable_bytes(std::size_t stride) {
   // The engine's own periodic hook, driven through the distributed
   // topology, writes the same container the single-process hook writes —
   // and a single-process engine resumes it bitwise.
@@ -504,7 +552,8 @@ TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
   single.pipeline(assessor_pipeline_options())
       .sharded(groups)
       .sensors(data.rows())
-      .checkpoint(core::CheckpointPolicy{1, single_path}.with_delta(false));
+      .checkpoint(core::CheckpointPolicy{1, single_path}.with_delta(false))
+      .hierarchy(stride);
   Assessor single_engine(single);
   MatChunkSource single_source(data, 256, 64);
   CollectingSink single_sink;
@@ -519,7 +568,8 @@ TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
         .sharded(groups, 1)
         .sensors(data.rows())
         .distributed(comm)
-        .checkpoint(core::CheckpointPolicy{1, dist_path}.with_delta(false));
+        .checkpoint(core::CheckpointPolicy{1, dist_path}.with_delta(false))
+        .hierarchy(stride);
     Assessor assessor(config);
     std::optional<MatChunkSource> source;
     if (comm.rank() == 0) source.emplace(data, 256, 64);
@@ -546,6 +596,10 @@ TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
   EXPECT_EQ(rest_sink.snapshots().back().total_snapshots, data.cols());
   std::remove(dist_path.c_str());
   std::remove(single_path.c_str());
+}
+
+TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
+  for_each_stride(periodic_checkpoint_hook_writes_portable_bytes);
 }
 
 }  // namespace

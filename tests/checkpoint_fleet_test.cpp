@@ -4,6 +4,7 @@
 // container, and the atomic write-temp-then-rename discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,8 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/assessor.hpp"
 #include "core/checkpoint.hpp"
@@ -28,6 +31,8 @@ using core::CollectingSink;
 using core::Mat;
 using core::PipelineOptions;
 using core::StopCondition;
+using imrdmd::testing::expect_snapshot_equal;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 using MatChunkSource = core::MatrixChunkSource;
@@ -53,19 +58,6 @@ void expect_bitwise_equal(const std::vector<double>& a,
   }
 }
 
-void expect_snapshot_equal(const AssessmentSnapshot& a,
-                           const AssessmentSnapshot& b) {
-  EXPECT_EQ(a.chunk_index, b.chunk_index);
-  EXPECT_EQ(a.total_snapshots, b.total_snapshots);
-  expect_bitwise_equal(a.magnitudes, b.magnitudes);
-  expect_bitwise_equal(a.sensor_means, b.sensor_means);
-  expect_bitwise_equal(a.zscores.zscores, b.zscores.zscores);
-  EXPECT_EQ(a.zscores.baseline_sensors, b.zscores.baseline_sensors);
-  expect_bitwise_equal(a.coarse_magnitudes, b.coarse_magnitudes);
-  expect_bitwise_equal(a.coarse_zscores, b.coarse_zscores);
-  expect_bitwise_equal(a.residual_zscores, b.residual_zscores);
-}
-
 std::vector<AssessmentSnapshot> run_collect(Assessor& engine,
                                             core::ChunkSource& stream,
                                             std::size_t max_chunks = 0) {
@@ -85,12 +77,14 @@ std::vector<AssessmentSnapshot> reference_run(const Mat& data,
   return run_collect(engine, source);
 }
 
-TEST(FleetCheckpoint, KilledRunResumesBitwiseIdenticalFromAnyCheckpoint) {
+void killed_run_resumes_bitwise_identical_from_any_checkpoint(
+    std::size_t stride) {
   const Mat data = checkpoint_data();
   AssessorConfig config;
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 5), 5)
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   const auto reference = reference_run(data, config);
   ASSERT_EQ(reference.size(), 3u);
 
@@ -123,12 +117,17 @@ TEST(FleetCheckpoint, KilledRunResumesBitwiseIdenticalFromAnyCheckpoint) {
   std::remove(path.c_str());
 }
 
-TEST(FleetCheckpoint, RoundTripsThroughMemoryAndResaves) {
+TEST(FleetCheckpoint, KilledRunResumesBitwiseIdenticalFromAnyCheckpoint) {
+  for_each_stride(killed_run_resumes_bitwise_identical_from_any_checkpoint);
+}
+
+void round_trips_through_memory_and_resaves(std::size_t stride) {
   const Mat data = checkpoint_data();
   AssessorConfig config;
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 3))
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
   run_collect(engine, source, 2);
@@ -156,7 +155,11 @@ TEST(FleetCheckpoint, RoundTripsThroughMemoryAndResaves) {
   expect_snapshot_equal(a, b);
 }
 
-TEST(FleetCheckpoint, ResumeWithMoreLanesReappliesNestedPoolGuard) {
+TEST(FleetCheckpoint, RoundTripsThroughMemoryAndResaves) {
+  for_each_stride(round_trips_through_memory_and_resaves);
+}
+
+void resume_with_more_lanes_reapplies_nested_pool_guard(std::size_t stride) {
   // A checkpoint saved from a single-lane engine carries models with
   // parallel_bins still enabled (the lane runs on the caller thread, where
   // nesting is legal). Resuming with real lanes must force it off on the
@@ -168,7 +171,8 @@ TEST(FleetCheckpoint, ResumeWithMoreLanesReappliesNestedPoolGuard) {
   AssessorConfig config;
   config.pipeline(pipeline)
       .sharded(core::contiguous_groups(data.rows(), 3), 1)
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
   run_collect(engine, source, 1);
@@ -191,14 +195,24 @@ TEST(FleetCheckpoint, ResumeWithMoreLanesReappliesNestedPoolGuard) {
   expect_snapshot_equal(a, b);
 }
 
-TEST(FleetCheckpoint, UnstartedEngineRejected) {
+TEST(FleetCheckpoint, ResumeWithMoreLanesReappliesNestedPoolGuard) {
+  for_each_stride(resume_with_more_lanes_reapplies_nested_pool_guard);
+}
+
+void unstarted_engine_rejected(std::size_t stride) {
   const Mat data = checkpoint_data();
   AssessorConfig config;
-  config.pipeline(checkpoint_pipeline_options()).sensors(data.rows());
+  config.pipeline(checkpoint_pipeline_options())
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor engine(config);
   std::stringstream buffer;
   EXPECT_THROW(core::save_assessor_checkpoint(buffer, engine),
                InvalidArgument);
+}
+
+TEST(FleetCheckpoint, UnstartedEngineRejected) {
+  for_each_stride(unstarted_engine_rejected);
 }
 
 TEST(PipelineCheckpoint, KilledRunResumesBitwiseIdentical) {
@@ -291,7 +305,7 @@ TEST(PipelineCheckpoint, LegacyAndUnifiedContainersResumeIdentically) {
 
 // --- truncation / corruption fuzz on the engine container ----------------
 
-std::string small_fleet_bytes() {
+std::string small_fleet_bytes(std::size_t stride) {
   Rng rng(13);
   const Mat data = planted_multiscale(9, 192, 0.02, rng);
   PipelineOptions pipeline;
@@ -301,7 +315,8 @@ std::string small_fleet_bytes() {
   AssessorConfig config;
   config.pipeline(pipeline)
       .sharded(core::contiguous_groups(data.rows(), 3))
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 128, 64);
   run_collect(engine, source);
@@ -310,8 +325,8 @@ std::string small_fleet_bytes() {
   return buffer.str();
 }
 
-TEST(FleetCheckpoint, EveryTruncationPointYieldsParseError) {
-  const std::string bytes = small_fleet_bytes();
+void every_truncation_point_yields_parse_error(std::size_t stride) {
+  const std::string bytes = small_fleet_bytes(stride);
   ASSERT_GT(bytes.size(), 64u);
   const std::size_t step = std::max<std::size_t>(1, bytes.size() / 97);
   for (std::size_t cut = 0; cut < bytes.size(); cut += step) {
@@ -321,7 +336,11 @@ TEST(FleetCheckpoint, EveryTruncationPointYieldsParseError) {
   }
 }
 
-TEST(FleetCheckpoint, CorruptBaselinePopulationRejectedAtLoad) {
+TEST(FleetCheckpoint, EveryTruncationPointYieldsParseError) {
+  for_each_stride(every_truncation_point_yields_parse_error);
+}
+
+void corrupt_baseline_population_rejected_at_load(std::size_t stride) {
   // A flipped baseline sensor index must fail at load with ParseError, not
   // chunks later as a DimensionError inside the resumed stream's first
   // z-scoring. The first population index sits at a fixed offset: magic
@@ -329,7 +348,7 @@ TEST(FleetCheckpoint, CorruptBaselinePopulationRejectedAtLoad) {
   // selected_once + count (16) = 104. (The V2 hierarchy section is
   // appended after the groups section, so the offset holds for both
   // container versions.)
-  const std::string bytes = small_fleet_bytes();
+  const std::string bytes = small_fleet_bytes(stride);
   std::string corrupt = bytes;
   const std::uint64_t huge = std::uint64_t{1} << 20;
   std::memcpy(corrupt.data() + 104, &huge, sizeof huge);
@@ -337,11 +356,15 @@ TEST(FleetCheckpoint, CorruptBaselinePopulationRejectedAtLoad) {
   EXPECT_THROW(core::load_assessor_checkpoint(in), ParseError);
 }
 
-TEST(FleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
+TEST(FleetCheckpoint, CorruptBaselinePopulationRejectedAtLoad) {
+  for_each_stride(corrupt_baseline_population_rejected_at_load);
+}
+
+void corrupt_words_rejected_without_huge_allocation(std::size_t stride) {
   // Fuzz every u64-aligned position with an all-ones word: loads must
   // either succeed or throw a library Error — never exhaust memory or
   // crash on a garbage length prefix, section size, or group index.
-  const std::string bytes = small_fleet_bytes();
+  const std::string bytes = small_fleet_bytes(stride);
   for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8) {
     std::string corrupt = bytes;
     const std::uint64_t garbage = ~std::uint64_t{0};
@@ -355,11 +378,15 @@ TEST(FleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
   }
 }
 
+TEST(FleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
+  for_each_stride(corrupt_words_rejected_without_huge_allocation);
+}
+
 // --- mixed-provenance resume fuzz (saved at R ranks, resumed at R') -----
 
 /// The same engine state as small_fleet_bytes, but driven (and
 /// checkpointed) by a distributed run at `ranks` ranks.
-std::string distributed_small_fleet_bytes(int ranks) {
+std::string distributed_small_fleet_bytes(std::size_t stride, int ranks) {
   Rng rng(13);
   const Mat data = planted_multiscale(9, 192, 0.02, rng);
   PipelineOptions pipeline;
@@ -373,7 +400,8 @@ std::string distributed_small_fleet_bytes(int ranks) {
     config.pipeline(pipeline)
         .sharded(core::contiguous_groups(data.rows(), 3))
         .sensors(data.rows())
-        .distributed(comm);
+        .distributed(comm)
+        .hierarchy(stride);
     Assessor engine(config);
     std::optional<MatChunkSource> source;
     if (comm.rank() == 0) source.emplace(data, 128, 64);
@@ -388,16 +416,20 @@ std::string distributed_small_fleet_bytes(int ranks) {
   return bytes;
 }
 
-TEST(DistributedFleetCheckpoint, ProvenanceIsInvisibleInTheBytes) {
+void provenance_is_invisible_in_the_bytes(std::size_t stride) {
   // A checkpoint written at any rank count is byte-for-byte the container
   // the single-process engine writes — which is what makes every resume
   // combination below a pure parser problem, fuzzed once for all writers.
-  const std::string reference = small_fleet_bytes();
-  EXPECT_EQ(distributed_small_fleet_bytes(2), reference);
-  EXPECT_EQ(distributed_small_fleet_bytes(3), reference);
+  const std::string reference = small_fleet_bytes(stride);
+  EXPECT_EQ(distributed_small_fleet_bytes(stride, 2), reference);
+  EXPECT_EQ(distributed_small_fleet_bytes(stride, 3), reference);
 }
 
-TEST(DistributedFleetCheckpoint, ResumesAtAnyRankCountFromAnyProvenance) {
+TEST(DistributedFleetCheckpoint, ProvenanceIsInvisibleInTheBytes) {
+  for_each_stride(provenance_is_invisible_in_the_bytes);
+}
+
+void resumes_at_any_rank_count_from_any_provenance(std::size_t stride) {
   // Saved at 3 ranks; resumed single-process and at 2 ranks — both must
   // continue the stream bitwise-identically to the uninterrupted engine.
   Rng rng(13);
@@ -409,7 +441,8 @@ TEST(DistributedFleetCheckpoint, ResumesAtAnyRankCountFromAnyProvenance) {
   AssessorConfig config;
   config.pipeline(pipeline)
       .sharded(core::contiguous_groups(data.rows(), 3))
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
 
   // Uninterrupted reference, one extra chunk past the checkpoint state.
   const Mat extra = planted_multiscale(9, 64, 0.02, rng);
@@ -418,7 +451,7 @@ TEST(DistributedFleetCheckpoint, ResumesAtAnyRankCountFromAnyProvenance) {
   run_collect(reference, reference_source);
   const AssessmentSnapshot expected = reference.process(extra);
 
-  const std::string bytes = distributed_small_fleet_bytes(3);
+  const std::string bytes = distributed_small_fleet_bytes(stride, 3);
 
   // Single-process resume of the distributed checkpoint.
   {
@@ -440,12 +473,16 @@ TEST(DistributedFleetCheckpoint, ResumesAtAnyRankCountFromAnyProvenance) {
   }
 }
 
-TEST(DistributedFleetCheckpoint, TruncationRejectedAtEveryRankCount) {
+TEST(DistributedFleetCheckpoint, ResumesAtAnyRankCountFromAnyProvenance) {
+  for_each_stride(resumes_at_any_rank_count_from_any_provenance);
+}
+
+void truncation_rejected_at_every_rank_count(std::size_t stride) {
   // The fuzz machinery from the single-process suite, pointed at the
   // distributed load path: every truncation prefix must yield ParseError
   // on every rank (each rank parses independently — no collective to
   // deadlock in), at more than one resume rank count.
-  const std::string bytes = small_fleet_bytes();
+  const std::string bytes = small_fleet_bytes(stride);
   ASSERT_GT(bytes.size(), 64u);
   const std::size_t step = std::max<std::size_t>(1, bytes.size() / 23);
   for (std::size_t cut = 0; cut < bytes.size(); cut += step) {
@@ -459,13 +496,17 @@ TEST(DistributedFleetCheckpoint, TruncationRejectedAtEveryRankCount) {
   }
 }
 
-TEST(DistributedFleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
+TEST(DistributedFleetCheckpoint, TruncationRejectedAtEveryRankCount) {
+  for_each_stride(truncation_rejected_at_every_rank_count);
+}
+
+void corrupt_words_rejected_at_every_rank_count(std::size_t stride) {
   // Sparse word-flip fuzz on the distributed load path. The parser is the
   // same parse_any the dense single-process fuzz above hammers at every
   // offset; this pass samples offsets to keep the world spawns cheap while
   // still covering the distributed assembly (ownership slicing) on
   // corrupted parses.
-  const std::string bytes = small_fleet_bytes();
+  const std::string bytes = small_fleet_bytes(stride);
   for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8 * 23) {
     std::string corrupt = bytes;
     const std::uint64_t garbage = ~std::uint64_t{0};
@@ -480,6 +521,10 @@ TEST(DistributedFleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
       // Expected for most offsets.
     }
   }
+}
+
+TEST(DistributedFleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
+  for_each_stride(corrupt_words_rejected_at_every_rank_count);
 }
 
 // --- rank-local delta checkpoints (IMRDFL3) ------------------------------
@@ -564,7 +609,7 @@ TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
   }
 }
 
-TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
+void delta_save_appends_instead_of_rewriting_the_base(std::size_t stride) {
   const Mat data = checkpoint_data();
   const std::string path = ::testing::TempDir() + "/delta_append.ckpt";
   remove_fl3(path);
@@ -572,7 +617,8 @@ TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 5))
       .sensors(data.rows())
-      .checkpoint(delta_policy(1, path));
+      .checkpoint(delta_policy(1, path))
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
 
@@ -597,7 +643,12 @@ TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
   remove_fl3(path);
 }
 
-TEST(FleetCheckpoint, DeltaFuzzRejectsTruncationCorruptionAndMissingParts) {
+TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
+  for_each_stride(delta_save_appends_instead_of_rewriting_the_base);
+}
+
+void delta_fuzz_rejects_truncation_corruption_and_missing_parts(
+    std::size_t stride) {
   const Mat data = checkpoint_data();
   const std::string path = ::testing::TempDir() + "/delta_fuzz.ckpt";
   remove_fl3(path);
@@ -605,7 +656,8 @@ TEST(FleetCheckpoint, DeltaFuzzRejectsTruncationCorruptionAndMissingParts) {
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 5))
       .sensors(data.rows())
-      .checkpoint(delta_policy(1, path));
+      .checkpoint(delta_policy(1, path))
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
   run_collect(engine, source);
@@ -669,6 +721,10 @@ TEST(FleetCheckpoint, DeltaFuzzRejectsTruncationCorruptionAndMissingParts) {
   core::RestoredAssessor restored = core::load_assessor_checkpoint_file(path);
   EXPECT_EQ(restored.assessor.chunks_processed(), 3u);
   remove_fl3(path);
+}
+
+TEST(FleetCheckpoint, DeltaFuzzRejectsTruncationCorruptionAndMissingParts) {
+  for_each_stride(delta_fuzz_rejects_truncation_corruption_and_missing_parts);
 }
 
 TEST(DistributedFleetCheckpoint, DeltaPartsResumeAtAnyRankCount) {
@@ -737,6 +793,79 @@ TEST(DistributedFleetCheckpoint, DeltaPartsResumeAtAnyRankCount) {
   }
 }
 
+/// The names of the files a checkpoint at `path` consists of: the main
+/// file and every part next to it, sorted.
+std::vector<std::string> checkpoint_files(const std::string& path) {
+  const std::filesystem::path main(path);
+  const std::string prefix = main.filename().string();
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(main.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(DistributedFleetCheckpoint, DeltaResumeRetiresTheLoadedEpochsParts) {
+  const Mat data = checkpoint_data();
+  for (const std::size_t stride : imrdmd::testing::kStrides) {
+    for (const int resumed_ranks : {2, 1}) {
+      SCOPED_TRACE("stride " + std::to_string(stride) + ", 2 -> " +
+                   std::to_string(resumed_ranks) + " ranks");
+      const std::string path = ::testing::TempDir() + "/delta_retire.ckpt";
+      remove_fl3(path);
+      AssessorConfig config;
+      config.pipeline(checkpoint_pipeline_options())
+          .sharded(core::contiguous_groups(data.rows(), 5))
+          .sensors(data.rows())
+          .hierarchy(stride)
+          .checkpoint(delta_policy(1, path));
+      // Kill a 2-rank run after two chunks: epoch 1, one part per rank.
+      {
+        dist::World world(2);
+        world.run([&](dist::Communicator& comm) {
+          AssessorConfig local = config;
+          Assessor engine(local.distributed(comm));
+          std::optional<MatChunkSource> source;
+          if (comm.rank() == 0) source.emplace(data, 256, 64);
+          CollectingSink sink;
+          engine.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
+                           StopCondition{2, 0, 0.0});
+        });
+      }
+      // Resume and save once more: the base rewrite takes epoch 2 and,
+      // once its manifest is durable, removes every epoch-1 part.
+      {
+        dist::World world(resumed_ranks);
+        world.run([&](dist::Communicator& comm) {
+          AssessorResumeOptions resume;
+          resume.checkpoint = delta_policy(1, path);
+          core::RestoredAssessor restored =
+              core::load_assessor_checkpoint_file(path, comm, resume);
+          std::optional<MatChunkSource> source;
+          if (comm.rank() == 0) {
+            source.emplace(data, 256, 64);
+            source->seek(static_cast<std::size_t>(restored.stream_position));
+          }
+          CollectingSink sink;
+          restored.assessor.run_until(comm.rank() == 0 ? &*source : nullptr,
+                                      sink, StopCondition{});
+        });
+      }
+      std::vector<std::string> expected = {"delta_retire.ckpt",
+                                           "delta_retire.ckpt.r0.e2"};
+      if (resumed_ranks == 2) expected.push_back("delta_retire.ckpt.r1.e2");
+      EXPECT_EQ(checkpoint_files(path), expected);
+      core::RestoredAssessor resaved =
+          core::load_assessor_checkpoint_file(path);
+      EXPECT_EQ(resaved.assessor.chunks_processed(), 3u);
+      remove_fl3(path);
+    }
+  }
+}
+
 TEST(FleetCheckpoint, GrownHierarchicalStackRoundTripsThroughDelta) {
   // The elastic case only the delta container can hold: a grown coarse
   // grid (non-canonical) persists through the explicit grid + interp table
@@ -784,12 +913,13 @@ TEST(FleetCheckpoint, GrownHierarchicalStackRoundTripsThroughDelta) {
 
 // --- atomic file-level writes -------------------------------------------
 
-TEST(FleetCheckpoint, FileWritesAreAtomicAndLeaveNoTemp) {
+void file_writes_are_atomic_and_leave_no_temp(std::size_t stride) {
   const Mat data = checkpoint_data();
   AssessorConfig config;
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 3))
-      .sensors(data.rows());
+      .sensors(data.rows())
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
   run_collect(engine, source, 1);
@@ -830,7 +960,11 @@ TEST(FleetCheckpoint, FileWritesAreAtomicAndLeaveNoTemp) {
   std::remove(path.c_str());
 }
 
-TEST(FleetCheckpoint, FailedPeriodicWriteParksPrefetchedChunk) {
+TEST(FleetCheckpoint, FileWritesAreAtomicAndLeaveNoTemp) {
+  for_each_stride(file_writes_are_atomic_and_leave_no_temp);
+}
+
+void failed_periodic_write_parks_prefetched_chunk(std::size_t stride) {
   // A checkpoint write that fails mid-run must follow the same no-data-loss
   // discipline as a processing failure: the chunk the async prefetch
   // already consumed is parked, and a retry run() continues with it.
@@ -839,7 +973,8 @@ TEST(FleetCheckpoint, FailedPeriodicWriteParksPrefetchedChunk) {
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 3))
       .sensors(data.rows())
-      .checkpoint({1, ::testing::TempDir() + "/no-such-dir/fleet.ckpt"});
+      .checkpoint({1, ::testing::TempDir() + "/no-such-dir/fleet.ckpt"})
+      .hierarchy(stride);
   config.ingest_options.prefetch_depth = 1;
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
@@ -864,7 +999,12 @@ TEST(FleetCheckpoint, FailedPeriodicWriteParksPrefetchedChunk) {
   EXPECT_TRUE(rest.empty());
 }
 
-TEST(FleetCheckpoint, MaxChunksWithParkedSnapshotsDoesNotDropAChunk) {
+TEST(FleetCheckpoint, FailedPeriodicWriteParksPrefetchedChunk) {
+  for_each_stride(failed_periodic_write_parks_prefetched_chunk);
+}
+
+void max_chunks_with_parked_snapshots_does_not_drop_a_chunk(
+    std::size_t stride) {
   // Regression: the run loop used to pull a chunk from the source (or the
   // carry slot) BEFORE checking whether the parked snapshots already
   // satisfied max_chunks — destroying the pulled chunk unprocessed and
@@ -874,7 +1014,8 @@ TEST(FleetCheckpoint, MaxChunksWithParkedSnapshotsDoesNotDropAChunk) {
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 3))
       .sensors(data.rows())
-      .checkpoint({1, ::testing::TempDir() + "/no-such-dir/fleet.ckpt"});
+      .checkpoint({1, ::testing::TempDir() + "/no-such-dir/fleet.ckpt"})
+      .hierarchy(stride);
   Assessor engine(config);
   MatChunkSource source(data, 256, 64);
 
@@ -903,6 +1044,10 @@ TEST(FleetCheckpoint, MaxChunksWithParkedSnapshotsDoesNotDropAChunk) {
   EXPECT_EQ(delivered[1].total_snapshots, 320u);
   EXPECT_EQ(delivered[2].total_snapshots, 384u);
   EXPECT_EQ(engine.snapshots_processed(), data.cols());
+}
+
+TEST(FleetCheckpoint, MaxChunksWithParkedSnapshotsDoesNotDropAChunk) {
+  for_each_stride(max_chunks_with_parked_snapshots_does_not_drop_a_chunk);
 }
 
 TEST(ChunkSourceSeek, DefaultThrowsAndMatrixSourceSeeks) {

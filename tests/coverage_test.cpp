@@ -18,6 +18,7 @@
 namespace imrdmd {
 namespace {
 
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 using imrdmd::testing::random_matrix;
 using linalg::Complex;
@@ -48,7 +49,7 @@ TEST(Spectrum, PowerFilterDropsWeakModes) {
   EXPECT_TRUE(dmd::select_modes(result, strong_only).empty());
 }
 
-TEST(Pipeline, PinnedBaselinePopulationStaysFixed) {
+void pinned_baseline_population_stays_fixed(std::size_t stride) {
   // reselect_baseline_per_chunk = false: the population chosen on the
   // initial chunk is reused for every later chunk.
   Rng rng(2);
@@ -66,14 +67,16 @@ TEST(Pipeline, PinnedBaselinePopulationStaysFixed) {
   options.imrdmd.mrdmd.max_levels = 3;
   options.baseline = {45.0, 55.0};
   options.reselect_baseline_per_chunk = false;
-  core::Assessor pinned(core::AssessorConfig{}.pipeline(options));
+  core::Assessor pinned(
+      core::AssessorConfig{}.pipeline(options).hierarchy(stride));
   const auto first = pinned.process(data.block(0, 0, 12, 512));
   const auto second = pinned.process(data.block(0, 512, 12, 256));
   EXPECT_EQ(second.zscores.baseline_sensors, first.zscores.baseline_sensors);
 
   core::PipelineOptions reselect = options;
   reselect.reselect_baseline_per_chunk = true;
-  core::Assessor moving(core::AssessorConfig{}.pipeline(reselect));
+  core::Assessor moving(
+      core::AssessorConfig{}.pipeline(reselect).hierarchy(stride));
   moving.process(data.block(0, 0, 12, 512));
   const auto moved = moving.process(data.block(0, 512, 12, 256));
   // The heated sensor 3 leaves the re-selected population.
@@ -83,6 +86,10 @@ TEST(Pipeline, PinnedBaselinePopulationStaysFixed) {
   EXPECT_EQ(std::count(second.zscores.baseline_sensors.begin(),
                        second.zscores.baseline_sensors.end(), 3u),
             1);
+}
+
+TEST(Pipeline, PinnedBaselinePopulationStaysFixed) {
+  for_each_stride(pinned_baseline_population_stays_fixed);
 }
 
 TEST(Checkpoint, SurvivesSensorAdditionAndKeepsHistory) {

@@ -20,6 +20,7 @@
 namespace imrdmd::core {
 namespace {
 
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 ImrdmdOptions imrdmd_options(bool parallel) {
@@ -80,7 +81,7 @@ TEST(ParallelDeterminism, ParallelMatchesSerialBitwise) {
 // isolation -> z-scores) must emit identical snapshots whether the
 // descendant bins were fitted serially or in parallel — at every level of
 // the hierarchy (the coarse model runs with the same options).
-TEST(ParallelDeterminism, EngineSnapshotsMatchSerialBitwise) {
+void engine_snapshots_match_serial_bitwise(std::size_t stride) {
   Rng rng(23);
   const Mat data = planted_multiscale(12, 640, 0.02, rng);
 
@@ -89,7 +90,7 @@ TEST(ParallelDeterminism, EngineSnapshotsMatchSerialBitwise) {
     options.imrdmd = imrdmd_options(parallel);
     options.baseline = {-10.0, 10.0};
     std::vector<AssessmentSnapshot> snapshots;
-    Assessor engine(AssessorConfig{}.pipeline(options));
+    Assessor engine(AssessorConfig{}.pipeline(options).hierarchy(stride));
     for (std::size_t t0 = 0; t0 + 128 <= data.cols(); t0 += 128) {
       snapshots.push_back(
           engine.process(data.block(0, t0, data.rows(), 128)));
@@ -112,14 +113,17 @@ TEST(ParallelDeterminism, EngineSnapshotsMatchSerialBitwise) {
   }
 }
 
+TEST(ParallelDeterminism, EngineSnapshotsMatchSerialBitwise) {
+  for_each_stride(engine_snapshots_match_serial_bitwise);
+}
+
 // Rank-count invariance of the distributed engine: for a fixed group
 // partition, the z-score stream AND the checkpoint bytes are identical —
 // compared at the byte level, stricter than value equality (0.0 vs -0.0
 // or NaN payloads would slip through EXPECT_EQ on doubles) — across every
-// rank x lane combination. Runs under the session's hierarchy default, so
-// the CI hierarchy row checks the same invariance with the coarse level
-// in play (and its IMRDFL2 container).
-TEST(RankCountDeterminism, FleetZscoresAndCheckpointsAreByteIdentical) {
+// rank x lane combination, flat and with the coarse level in play (and
+// its IMRDFL2 container).
+void fleet_zscores_and_checkpoints_are_byte_identical(std::size_t stride) {
   Rng rng(24);
   const Mat data = planted_multiscale(12, 384, 0.02, rng);
   const auto groups = contiguous_groups(data.rows(), 4);
@@ -145,7 +149,8 @@ TEST(RankCountDeterminism, FleetZscoresAndCheckpointsAreByteIdentical) {
                             .pipeline(pipeline)
                             .sharded(groups, lanes)
                             .sensors(data.rows())
-                            .distributed(comm));
+                            .distributed(comm)
+                            .hierarchy(stride));
         std::optional<MatrixChunkSource> source;
         if (comm.rank() == 0) source.emplace(data, 256, 64);
         CollectingSink sink;
@@ -173,6 +178,10 @@ TEST(RankCountDeterminism, FleetZscoresAndCheckpointsAreByteIdentical) {
           << "ranks=" << ranks << " lanes=" << lanes;
     }
   }
+}
+
+TEST(RankCountDeterminism, FleetZscoresAndCheckpointsAreByteIdentical) {
+  for_each_stride(fleet_zscores_and_checkpoints_are_byte_identical);
 }
 
 }  // namespace

@@ -25,6 +25,8 @@ using core::CollectingSink;
 using core::Mat;
 using core::PipelineOptions;
 using core::StopCondition;
+using imrdmd::testing::expect_snapshots_equal;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 using MatChunkSource = core::MatrixChunkSource;
@@ -42,11 +44,14 @@ Mat dist_data() {
   return planted_multiscale(15, 384, 0.02, rng);
 }
 
-AssessorConfig dist_config(const PipelineOptions& pipeline,
+AssessorConfig dist_config(std::size_t stride, const PipelineOptions& pipeline,
                            const std::vector<std::vector<std::size_t>>& groups,
                            std::size_t sensors, std::size_t lanes = 1) {
   AssessorConfig config;
-  config.pipeline(pipeline).sharded(groups, lanes).sensors(sensors);
+  config.pipeline(pipeline)
+      .sharded(groups, lanes)
+      .sensors(sensors)
+      .hierarchy(stride);
   return config;
 }
 
@@ -55,37 +60,6 @@ void expect_bitwise_equal(const std::vector<double>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "index " << i;
-  }
-}
-
-void expect_snapshots_equal(const std::vector<AssessmentSnapshot>& a,
-                            const std::vector<AssessmentSnapshot>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    EXPECT_EQ(a[c].chunk_index, b[c].chunk_index);
-    EXPECT_EQ(a[c].total_snapshots, b[c].total_snapshots);
-    expect_bitwise_equal(a[c].magnitudes, b[c].magnitudes);
-    expect_bitwise_equal(a[c].sensor_means, b[c].sensor_means);
-    expect_bitwise_equal(a[c].zscores.zscores, b[c].zscores.zscores);
-    EXPECT_EQ(a[c].zscores.baseline_sensors, b[c].zscores.baseline_sensors);
-    expect_bitwise_equal(a[c].coarse_magnitudes, b[c].coarse_magnitudes);
-    expect_bitwise_equal(a[c].coarse_zscores, b[c].coarse_zscores);
-    expect_bitwise_equal(a[c].residual_zscores, b[c].residual_zscores);
-    ASSERT_EQ(a[c].reports.size(), b[c].reports.size());
-    for (std::size_t g = 0; g < a[c].reports.size(); ++g) {
-      EXPECT_EQ(a[c].reports[g].new_snapshots, b[c].reports[g].new_snapshots);
-      EXPECT_EQ(a[c].reports[g].total_snapshots,
-                b[c].reports[g].total_snapshots);
-      EXPECT_EQ(a[c].reports[g].drift_grid, b[c].reports[g].drift_grid);
-      EXPECT_EQ(a[c].reports[g].drift_estimate,
-                b[c].reports[g].drift_estimate);
-      EXPECT_EQ(a[c].reports[g].drift_exceeded,
-                b[c].reports[g].drift_exceeded);
-      EXPECT_EQ(a[c].reports[g].recomputed, b[c].reports[g].recomputed);
-      EXPECT_EQ(a[c].reports[g].new_nodes, b[c].reports[g].new_nodes);
-      EXPECT_EQ(a[c].reports[g].new_grid_columns,
-                b[c].reports[g].new_grid_columns);
-    }
   }
 }
 
@@ -153,12 +127,13 @@ TEST(DistributedFleet, RankGroupRangeIsAContiguousBalancedPartition) {
   EXPECT_THROW(core::rank_group_range(4, 2, 2), InvalidArgument);
 }
 
-TEST(DistributedFleet, MatchesSingleProcessEngineForAnyRankAndLaneCount) {
+void matches_single_process_engine_for_any_rank_and_lane_count(
+    std::size_t stride) {
   const Mat data = dist_data();
   const auto groups = core::contiguous_groups(data.rows(), 5);
 
   const auto reference =
-      run_single(data, dist_config(dist_pipeline_options(), groups,
+      run_single(data, dist_config(stride, dist_pipeline_options(), groups,
                                    data.rows()));
   ASSERT_EQ(reference.size(), 3u);
 
@@ -166,14 +141,19 @@ TEST(DistributedFleet, MatchesSingleProcessEngineForAnyRankAndLaneCount) {
     for (const std::size_t lanes : {1u, 2u}) {
       const auto snapshots = run_distributed(
           data,
-          dist_config(dist_pipeline_options(), groups, data.rows(), lanes),
+          dist_config(stride, dist_pipeline_options(), groups, data.rows(),
+                      lanes),
           ranks);
       expect_snapshots_equal(snapshots, reference);
     }
   }
 }
 
-TEST(DistributedFleet, UnevenGroupSizesExerciseTheRaggedGather) {
+TEST(DistributedFleet, MatchesSingleProcessEngineForAnyRankAndLaneCount) {
+  for_each_stride(matches_single_process_engine_for_any_rank_and_lane_count);
+}
+
+void uneven_group_sizes_exercise_the_ragged_gather(std::size_t stride) {
   // Deliberately lopsided partition: rank payload lengths differ, so the
   // merge runs through genuinely ragged allgatherv contributions.
   const Mat data = dist_data();
@@ -182,7 +162,7 @@ TEST(DistributedFleet, UnevenGroupSizesExerciseTheRaggedGather) {
   for (std::size_t p = 9; p < 11; ++p) groups[1].push_back(p);
   for (std::size_t p = 11; p < 15; ++p) groups[2].push_back(p);
 
-  const auto config = dist_config(dist_pipeline_options(), groups,
+  const auto config = dist_config(stride, dist_pipeline_options(), groups,
                                   data.rows());
   const auto reference = run_single(data, config);
 
@@ -191,10 +171,15 @@ TEST(DistributedFleet, UnevenGroupSizesExerciseTheRaggedGather) {
   }
 }
 
-TEST(DistributedFleet, SpareRanksBeyondTheGroupCountStayInTheCollective) {
+TEST(DistributedFleet, UnevenGroupSizesExerciseTheRaggedGather) {
+  for_each_stride(uneven_group_sizes_exercise_the_ragged_gather);
+}
+
+void spare_ranks_beyond_the_group_count_stay_in_the_collective(
+    std::size_t stride) {
   const Mat data = dist_data();
   const auto config =
-      dist_config(dist_pipeline_options(),
+      dist_config(stride, dist_pipeline_options(),
                   core::contiguous_groups(data.rows(), 2), data.rows());
 
   const auto reference = run_single(data, config);
@@ -204,11 +189,15 @@ TEST(DistributedFleet, SpareRanksBeyondTheGroupCountStayInTheCollective) {
   expect_snapshots_equal(run_distributed(data, config, 5), reference);
 }
 
-TEST(DistributedFleet, CheckpointBytesAreRankCountInvariant) {
+TEST(DistributedFleet, SpareRanksBeyondTheGroupCountStayInTheCollective) {
+  for_each_stride(spare_ranks_beyond_the_group_count_stay_in_the_collective);
+}
+
+void checkpoint_bytes_are_rank_count_invariant(std::size_t stride) {
   const Mat data = dist_data();
   const auto groups = core::contiguous_groups(data.rows(), 5);
   const auto config =
-      dist_config(dist_pipeline_options(), groups, data.rows());
+      dist_config(stride, dist_pipeline_options(), groups, data.rows());
 
   // Single-process reference bytes after two chunks.
   AssessorConfig reference_config = config;
@@ -242,11 +231,15 @@ TEST(DistributedFleet, CheckpointBytesAreRankCountInvariant) {
   }
 }
 
-TEST(DistributedFleet, ResumesAcrossRankCounts) {
+TEST(DistributedFleet, CheckpointBytesAreRankCountInvariant) {
+  for_each_stride(checkpoint_bytes_are_rank_count_invariant);
+}
+
+void resumes_across_rank_counts(std::size_t stride) {
   const Mat data = dist_data();
   const auto groups = core::contiguous_groups(data.rows(), 5);
   const auto config =
-      dist_config(dist_pipeline_options(), groups, data.rows());
+      dist_config(stride, dist_pipeline_options(), groups, data.rows());
 
   const auto reference = run_distributed(data, config, 1);
   ASSERT_EQ(reference.size(), 3u);
@@ -311,30 +304,45 @@ TEST(DistributedFleet, ResumesAcrossRankCounts) {
   }
 }
 
-TEST(DistributedFleet, PeriodicCheckpointHookWritesThroughRankZero) {
-  const Mat data = dist_data();
-  const std::string path = ::testing::TempDir() + "/dist_fleet.ckpt";
-  AssessorConfig config =
-      dist_config(dist_pipeline_options(),
-                  core::contiguous_groups(data.rows(), 3), data.rows());
-  config.checkpoint({1, path});
-
-  const auto reference = run_distributed(data, config, 2);
-  ASSERT_EQ(reference.size(), 3u);
-
-  // The file holds the final complete state and loads through the plain
-  // single-process path too (the container bytes carry no provenance).
-  core::RestoredAssessor restored =
-      core::load_assessor_checkpoint_file(path);
-  EXPECT_EQ(restored.assessor.chunks_processed(), 3u);
-  EXPECT_EQ(restored.stream_position, 384u);
-  std::remove(path.c_str());
+TEST(DistributedFleet, ResumesAcrossRankCounts) {
+  for_each_stride(resumes_across_rank_counts);
 }
 
-TEST(DistributedFleet, ChunkWidthDisagreementFailsEveryRankTogether) {
+void periodic_checkpoint_hook_writes_through_rank_zero(std::size_t stride) {
+  const Mat data = dist_data();
+  const std::string path = ::testing::TempDir() + "/dist_fleet.ckpt";
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta container" : "full container");
+    AssessorConfig config =
+        dist_config(stride, dist_pipeline_options(),
+                    core::contiguous_groups(data.rows(), 3), data.rows());
+    config.checkpoint(core::CheckpointPolicy{1, path}.with_delta(delta));
+
+    const auto reference = run_distributed(data, config, 2);
+    ASSERT_EQ(reference.size(), 3u);
+
+    // The file holds the final complete state and loads through the plain
+    // single-process path too (the container bytes carry no provenance).
+    core::RestoredAssessor restored =
+        core::load_assessor_checkpoint_file(path);
+    EXPECT_EQ(restored.assessor.chunks_processed(), 3u);
+    EXPECT_EQ(restored.stream_position, 384u);
+    std::remove(path.c_str());
+    // The delta container's parts: one per rank, in the run's one epoch.
+    for (const char* part : {".r0.e1", ".r1.e1"}) {
+      std::remove((path + part).c_str());
+    }
+  }
+}
+
+TEST(DistributedFleet, PeriodicCheckpointHookWritesThroughRankZero) {
+  for_each_stride(periodic_checkpoint_hook_writes_through_rank_zero);
+}
+
+void chunk_width_disagreement_fails_every_rank_together(std::size_t stride) {
   const Mat data = dist_data();
   const auto config =
-      dist_config(dist_pipeline_options(),
+      dist_config(stride, dist_pipeline_options(),
                   core::contiguous_groups(data.rows(), 3), data.rows());
 
   // Must complete (no deadlock) and surface InvalidArgument, not a
@@ -351,13 +359,17 @@ TEST(DistributedFleet, ChunkWidthDisagreementFailsEveryRankTogether) {
       InvalidArgument);
 }
 
-TEST(DistributedFleet, ChunkContentDisagreementFailsEveryRankTogether) {
+TEST(DistributedFleet, ChunkWidthDisagreementFailsEveryRankTogether) {
+  for_each_stride(chunk_width_disagreement_fails_every_rank_together);
+}
+
+void chunk_content_disagreement_fails_every_rank_together(std::size_t stride) {
   // Same width, different bytes: without the content digest in the
   // agreement check the ranks would fit different data and silently
   // desync their replicated z-score stages.
   const Mat data = dist_data();
   const auto config =
-      dist_config(dist_pipeline_options(),
+      dist_config(stride, dist_pipeline_options(),
                   core::contiguous_groups(data.rows(), 3), data.rows());
 
   dist::World world(3);
@@ -372,7 +384,11 @@ TEST(DistributedFleet, ChunkContentDisagreementFailsEveryRankTogether) {
       InvalidArgument);
 }
 
-TEST(DistributedFleet, SourceOutsideRankZeroIsRejected) {
+TEST(DistributedFleet, ChunkContentDisagreementFailsEveryRankTogether) {
+  for_each_stride(chunk_content_disagreement_fails_every_rank_together);
+}
+
+void source_outside_rank_zero_is_rejected(std::size_t stride) {
   const Mat data = dist_data();
 
   dist::World world(2);
@@ -381,7 +397,8 @@ TEST(DistributedFleet, SourceOutsideRankZeroIsRejected) {
         AssessorConfig config;
         config.pipeline(dist_pipeline_options())
             .sensors(data.rows())
-            .distributed(comm);
+            .distributed(comm)
+            .hierarchy(stride);
         Assessor assessor(config);
         // Both ranks pass a source; rank 1 must refuse before any
         // collective, and rank 0 unwinds via the poisoned broadcast.
@@ -392,7 +409,11 @@ TEST(DistributedFleet, SourceOutsideRankZeroIsRejected) {
       InvalidArgument);
 }
 
-TEST(DistributedFleet, RejectsMalformedPartitionsAndChunks) {
+TEST(DistributedFleet, SourceOutsideRankZeroIsRejected) {
+  for_each_stride(source_outside_rank_zero_is_rejected);
+}
+
+void rejects_malformed_partitions_and_chunks(std::size_t stride) {
   const Mat data = dist_data();
   dist::World world(2);
   world.run([&](dist::Communicator& comm) {
@@ -400,19 +421,25 @@ TEST(DistributedFleet, RejectsMalformedPartitionsAndChunks) {
     bad.pipeline(dist_pipeline_options())
         .sharded({{0, 1}, {1, 2}})  // overlap
         .sensors(3)
-        .distributed(comm);
+        .distributed(comm)
+        .hierarchy(stride);
     EXPECT_THROW(Assessor{bad}, InvalidArgument);
 
     AssessorConfig config;
     config.pipeline(dist_pipeline_options())
         .sensors(data.rows())
-        .distributed(comm);
+        .distributed(comm)
+        .hierarchy(stride);
     Assessor assessor(config);
     // Local validation fires before any collective, so every rank throws
     // on its own copy of the malformed chunk.
     EXPECT_THROW(assessor.process(Mat(data.rows(), 0)), InvalidArgument);
     EXPECT_THROW(assessor.process(Mat(data.rows() + 1, 64)), InvalidArgument);
   });
+}
+
+TEST(DistributedFleet, RejectsMalformedPartitionsAndChunks) {
+  for_each_stride(rejects_malformed_partitions_and_chunks);
 }
 
 }  // namespace

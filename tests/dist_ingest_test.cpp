@@ -1,9 +1,10 @@
 // Ingestion-mode and elasticity tests for the distributed engine: the
-// three chunk-delivery modes (broadcast, scatterv, per-rank sources) are
-// bitwise interchangeable across rank counts, lanes, and hierarchy modes;
-// scatterv moves strictly fewer wire bytes than broadcast; a desynced
-// per-rank replica fails every rank together with StreamDesync; and
-// add_sensors grows groups mid-stream identically in every topology.
+// chunk-delivery modes (scatterv, per-rank sources) are bitwise
+// interchangeable across rank counts, lanes, and hierarchy modes; scatterv
+// ships exactly the peers' owned rows and per-rank ingestion no payload at
+// all; a desynced per-rank replica fails every rank together with
+// StreamDesync; and add_sensors grows groups mid-stream identically in
+// every topology.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +33,8 @@ using core::MatrixChunkSource;
 using core::PipelineOptions;
 using core::RowSliceSource;
 using core::StopCondition;
+using imrdmd::testing::expect_snapshots_equal;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 PipelineOptions ingest_pipeline_options() {
@@ -45,29 +48,6 @@ PipelineOptions ingest_pipeline_options() {
 Mat ingest_data() {
   Rng rng(11);
   return planted_multiscale(15, 384, 0.02, rng);
-}
-
-void expect_bitwise_equal(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "index " << i;
-  }
-}
-
-void expect_snapshots_equal(const std::vector<AssessmentSnapshot>& a,
-                            const std::vector<AssessmentSnapshot>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    EXPECT_EQ(a[c].chunk_index, b[c].chunk_index);
-    EXPECT_EQ(a[c].total_snapshots, b[c].total_snapshots);
-    expect_bitwise_equal(a[c].magnitudes, b[c].magnitudes);
-    expect_bitwise_equal(a[c].sensor_means, b[c].sensor_means);
-    expect_bitwise_equal(a[c].zscores.zscores, b[c].zscores.zscores);
-    expect_bitwise_equal(a[c].coarse_magnitudes, b[c].coarse_magnitudes);
-    expect_bitwise_equal(a[c].coarse_zscores, b[c].coarse_zscores);
-    expect_bitwise_equal(a[c].residual_zscores, b[c].residual_zscores);
-  }
 }
 
 AssessorConfig ingest_config(std::size_t sensors, std::size_t stride,
@@ -128,7 +108,7 @@ TEST(DistributedFleetIngest, AllModesMatchTheSingleProcessEngineBitwise) {
   const Mat data = ingest_data();
   for (const std::size_t stride : {std::size_t{0}, std::size_t{2}}) {
     AssessorConfig reference_config =
-        ingest_config(data.rows(), stride, 1, IngestMode::Broadcast);
+        ingest_config(data.rows(), stride, 1, IngestMode::Scatterv);
     Assessor reference_engine(reference_config);
     MatrixChunkSource reference_source(data, 256, 64);
     CollectingSink reference_sink;
@@ -141,8 +121,7 @@ TEST(DistributedFleetIngest, AllModesMatchTheSingleProcessEngineBitwise) {
 
     for (const int ranks : {2, 4}) {
       for (const IngestMode mode :
-           {IngestMode::Broadcast, IngestMode::Scatterv,
-            IngestMode::PerRank}) {
+           {IngestMode::Scatterv, IngestMode::PerRank}) {
         const DistRun run =
             run_distributed(data, stride, /*lanes=*/2, mode, ranks);
         expect_snapshots_equal(run.snapshots, reference);
@@ -155,37 +134,60 @@ TEST(DistributedFleetIngest, AllModesMatchTheSingleProcessEngineBitwise) {
   }
 }
 
-TEST(DistributedFleetIngest, ScattervMovesFewerPayloadBytesThanBroadcast) {
+TEST(DistributedFleetIngest, ScattervShipsOwnedRowsAndPerRankShipsNoPayload) {
   const Mat data = ingest_data();
-  const int ranks = 4;
+  const std::size_t ranks = 4;
+  const std::size_t chunks = 3;  // 256 + 64 + 64 columns
+  const auto groups = core::contiguous_groups(data.rows(), 5);
   std::uint64_t measured[2] = {0, 0};
+  const IngestMode modes[2] = {IngestMode::Scatterv, IngestMode::PerRank};
   for (int i = 0; i < 2; ++i) {
-    const IngestMode mode =
-        i == 0 ? IngestMode::Broadcast : IngestMode::Scatterv;
-    dist::World world(ranks);
+    dist::World world(static_cast<int>(ranks));
+    std::vector<std::uint64_t> per_rank(ranks, 0);
     world.run([&](dist::Communicator& comm) {
-      AssessorConfig config = ingest_config(data.rows(), 0, 1, mode);
+      AssessorConfig config = ingest_config(data.rows(), 0, 1, modes[i]);
       Assessor assessor(config.distributed(comm));
-      std::optional<MatrixChunkSource> source;
-      if (comm.rank() == 0) source.emplace(data, 256, 64);
+      std::optional<MatrixChunkSource> replica;
+      std::optional<RowSliceSource> slice;
+      core::ChunkSource* source = nullptr;
+      if (modes[i] == IngestMode::PerRank) {
+        replica.emplace(data, 256, 64);
+        slice.emplace(*replica, assessor.owned_sensor_rows());
+        source = &*slice;
+      } else if (comm.rank() == 0) {
+        replica.emplace(data, 256, 64);
+        source = &*replica;
+      }
       comm.reset_wire_bytes();
       CollectingSink sink;
-      assessor.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
-                         StopCondition{});
-      if (comm.rank() == 0) measured[i] = comm.wire_bytes();
+      assessor.run_until(source, sink, StopCondition{});
+      per_rank[static_cast<std::size_t>(comm.rank())] = comm.wire_bytes();
     });
+    for (const std::uint64_t bytes : per_rank) measured[i] += bytes;
   }
-  // Broadcast ships the full P x T chunk to every non-root; scatterv ships
-  // each non-root only its owned rows (~1/R of the payload). The merge
-  // traffic is identical between the runs, so the totals must differ by at
-  // least the payload saving: (R-1) x P x T doubles minus the slices the
-  // non-roots still receive (at most P x T doubles in total).
-  const std::uint64_t chunk_payload =
-      static_cast<std::uint64_t>(data.rows()) * data.cols() * sizeof(double);
-  const std::uint64_t saving =
-      (static_cast<std::uint64_t>(ranks) - 1) * chunk_payload - chunk_payload;
-  EXPECT_LT(measured[1], measured[0]);
-  EXPECT_LE(measured[1], measured[0] - saving);
+  // Traffic both modes share: per chunk, every rank receives each peer's
+  // merge contribution — per group, its magnitudes and means (2 doubles
+  // per sensor) and an 8-double fit report.
+  const std::uint64_t merge =
+      chunks * (ranks - 1) * (2 * data.rows() + 8 * groups.size()) * 8;
+  // The per-chunk agreement (one more round announces the end of the
+  // stream): rank 0 broadcasts 3 doubles under scatterv; every rank
+  // allgathers 3 doubles under per_rank.
+  const std::uint64_t rounds = chunks + 1;
+  const std::uint64_t scatterv_control = rounds * (ranks - 1) * 3 * 8;
+  const std::uint64_t per_rank_control = rounds * ranks * (ranks - 1) * 3 * 8;
+  // Scatterv's payload is exactly the rows rank 0 does not own, every
+  // column once; per-rank ingestion ships no chunk payload at all.
+  const auto root_groups = core::rank_group_range(groups.size(), ranks, 0);
+  std::uint64_t root_rows = 0;
+  for (std::size_t g = root_groups.first; g < root_groups.second; ++g) {
+    root_rows += groups[g].size();
+  }
+  const std::uint64_t owned_payload =
+      (data.rows() - root_rows) * data.cols() * sizeof(double);
+  ASSERT_GT(owned_payload, 0u);
+  EXPECT_EQ(measured[0] - merge - scatterv_control, owned_payload);
+  EXPECT_EQ(measured[1] - merge - per_rank_control, 0u);
 }
 
 TEST(DistributedFleetIngest, DesyncedPerRankReplicaFailsEveryRankTogether) {
@@ -228,7 +230,7 @@ TEST(DistributedFleetIngest, PerRankSourceWithWrongRowCountIsRejected) {
 TEST(DistributedFleetIngest, ResumedSourceLeftUnseekedRaisesStreamDesync) {
   const Mat data = ingest_data();
   AssessorConfig config =
-      ingest_config(data.rows(), 0, 1, IngestMode::Broadcast);
+      ingest_config(data.rows(), 0, 1, IngestMode::Scatterv);
   Assessor assessor(config);
   MatrixChunkSource source(data, 256, 64);
   CollectingSink sink;
@@ -329,12 +331,13 @@ TEST(DistributedFleetElastic, AddSensorsGrowsAGroupMidStream) {
   }
 }
 
-TEST(DistributedFleetElastic, AddSensorsValidatesItsArguments) {
+void add_sensors_validates_its_arguments(std::size_t stride) {
   const Mat data = elastic_data();
   AssessorConfig config;
   config.pipeline(elastic_pipeline_options())
       .sharded(core::contiguous_groups(15, 5))
-      .sensors(15);
+      .sensors(15)
+      .hierarchy(stride);
   Assessor assessor(config);
   // Before any chunk there is no history to join against.
   EXPECT_THROW(assessor.add_sensors(0, Mat(2, 0)), InvalidArgument);
@@ -349,7 +352,11 @@ TEST(DistributedFleetElastic, AddSensorsValidatesItsArguments) {
                InvalidArgument);
 }
 
-TEST(DistributedFleetElastic, ArgumentDisagreementFailsEveryRankTogether) {
+TEST(DistributedFleetElastic, AddSensorsValidatesItsArguments) {
+  for_each_stride(add_sensors_validates_its_arguments);
+}
+
+void argument_disagreement_fails_every_rank_together(std::size_t stride) {
   const Mat data = elastic_data();
   dist::World world(2);
   EXPECT_THROW(
@@ -358,7 +365,8 @@ TEST(DistributedFleetElastic, ArgumentDisagreementFailsEveryRankTogether) {
         config.pipeline(elastic_pipeline_options())
             .sharded(core::contiguous_groups(15, 5))
             .sensors(15)
-            .distributed(comm);
+            .distributed(comm)
+            .hierarchy(stride);
         Assessor assessor(config);
         assessor.process(data.block(0, 0, 15, 256));
         Mat history = data.block(15, 0, 3, 256);
@@ -366,6 +374,10 @@ TEST(DistributedFleetElastic, ArgumentDisagreementFailsEveryRankTogether) {
         assessor.add_sensors(4, history);
       }),
       InvalidArgument);
+}
+
+TEST(DistributedFleetElastic, ArgumentDisagreementFailsEveryRankTogether) {
+  for_each_stride(argument_disagreement_fails_every_rank_together);
 }
 
 TEST(DistributedFleetElastic, GrownHierarchicalStackRefusesLegacySave) {

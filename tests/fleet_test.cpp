@@ -23,6 +23,8 @@ using core::CollectingSink;
 using core::IngestOptions;
 using core::Mat;
 using core::PipelineOptions;
+using imrdmd::testing::expect_snapshots_equal;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 using MatChunkSource = core::MatrixChunkSource;
@@ -62,18 +64,6 @@ void expect_bitwise_equal(const std::vector<double>& a,
   }
 }
 
-void expect_snapshots_equal(const std::vector<AssessmentSnapshot>& a,
-                            const std::vector<AssessmentSnapshot>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    expect_bitwise_equal(a[c].magnitudes, b[c].magnitudes);
-    expect_bitwise_equal(a[c].sensor_means, b[c].sensor_means);
-    expect_bitwise_equal(a[c].zscores.zscores, b[c].zscores.zscores);
-    EXPECT_EQ(a[c].zscores.baseline_sensors, b[c].zscores.baseline_sensors);
-    EXPECT_EQ(a[c].total_snapshots, b[c].total_snapshots);
-  }
-}
-
 TEST(Fleet, ContiguousGroupsPartitionEvenly) {
   const auto groups = core::contiguous_groups(10, 3);
   ASSERT_EQ(groups.size(), 3u);
@@ -84,15 +74,15 @@ TEST(Fleet, ContiguousGroupsPartitionEvenly) {
   EXPECT_THROW(core::contiguous_groups(4, 0), InvalidArgument);
 }
 
-TEST(Fleet, TrivialGroupMatchesMonolithicEngineForAnyLaneCount) {
+void trivial_group_matches_monolithic_engine_for_any_lane_count(
+    std::size_t stride) {
   const Mat data = fleet_data();
 
-  // Reference: the monolithic engine over the same chunk boundaries. Both
-  // sides take the session's hierarchy default (flat, or the CI row's
-  // IMRDMD_HIERARCHY_STRIDE), so the invariance holds in either mode.
+  // Reference: the monolithic engine over the same chunk boundaries, at the
+  // same stride as the sharded side — the invariance holds in either mode.
   MatChunkSource source(data, 256, 64);
   Assessor reference_engine(
-      AssessorConfig{}.pipeline(fleet_pipeline_options()));
+      AssessorConfig{}.pipeline(fleet_pipeline_options()).hierarchy(stride));
   const auto reference = run_collect(reference_engine, source);
   ASSERT_EQ(reference.size(), 3u);
 
@@ -101,13 +91,18 @@ TEST(Fleet, TrivialGroupMatchesMonolithicEngineForAnyLaneCount) {
       Assessor engine(AssessorConfig{}
                           .pipeline(fleet_pipeline_options())
                           .sharded({}, lanes)
-                          .ingest(prefetch(async)));
+                          .ingest(prefetch(async))
+                          .hierarchy(stride));
       MatChunkSource replay(data, 256, 64);
       const auto snapshots = run_collect(engine, replay);
       ASSERT_EQ(snapshots.size(), reference.size());
       expect_snapshots_equal(snapshots, reference);
     }
   }
+}
+
+TEST(Fleet, TrivialGroupMatchesMonolithicEngineForAnyLaneCount) {
+  for_each_stride(trivial_group_matches_monolithic_engine_for_any_lane_count);
 }
 
 TEST(Fleet, LaneCountInvarianceAcrossLanesAndPrefetch) {
@@ -181,7 +176,7 @@ TEST(Fleet, LaneCountInvarianceAcrossLanesAndPrefetch) {
   EXPECT_EQ(chunk_index, 3u);
 }
 
-TEST(Fleet, AsyncPrefetchPathIsStableUnderRepetition) {
+void async_prefetch_path_is_stable_under_repetition(std::size_t stride) {
   // Exercised repeatedly so the ASan/TSan lanes see many interleavings of
   // the prefetch task against the shard lanes.
   const Mat data = fleet_data();
@@ -192,7 +187,8 @@ TEST(Fleet, AsyncPrefetchPathIsStableUnderRepetition) {
                         .pipeline(fleet_pipeline_options())
                         .sharded(groups, 5)
                         .sensors(data.rows())
-                        .ingest(prefetch(true)));
+                        .ingest(prefetch(true))
+                        .hierarchy(stride));
     MatChunkSource replay(data, 256, 64);
     auto snapshots = run_collect(engine, replay);
     if (!first.has_value()) {
@@ -203,14 +199,19 @@ TEST(Fleet, AsyncPrefetchPathIsStableUnderRepetition) {
   }
 }
 
-TEST(Fleet, RejectsMalformedGroupPartitions) {
+TEST(Fleet, AsyncPrefetchPathIsStableUnderRepetition) {
+  for_each_stride(async_prefetch_path_is_stable_under_repetition);
+}
+
+void rejects_malformed_group_partitions(std::size_t stride) {
   const PipelineOptions options = fleet_pipeline_options();
   auto config = [&](std::vector<std::vector<std::size_t>> groups,
                     std::size_t sensors) {
     return AssessorConfig{}
         .pipeline(options)
         .sharded(std::move(groups), 1)
-        .sensors(sensors);
+        .sensors(sensors)
+        .hierarchy(stride);
   };
 
   EXPECT_THROW(Assessor(config({{0, 1}, {1, 2, 3}}, 4)),  // overlap
@@ -226,11 +227,16 @@ TEST(Fleet, RejectsMalformedGroupPartitions) {
   EXPECT_THROW(Assessor(config({{0}}, 0)), InvalidArgument);
 }
 
-TEST(Fleet, RejectsMalformedChunks) {
+TEST(Fleet, RejectsMalformedGroupPartitions) {
+  for_each_stride(rejects_malformed_group_partitions);
+}
+
+void rejects_malformed_chunks(std::size_t stride) {
   const Mat data = fleet_data();
   Assessor engine(AssessorConfig{}
                       .pipeline(fleet_pipeline_options())
-                      .sensors(data.rows()));
+                      .sensors(data.rows())
+                      .hierarchy(stride));
 
   EXPECT_THROW(engine.process(Mat(data.rows(), 0)), InvalidArgument);
   EXPECT_THROW(engine.process(Mat(data.rows() + 1, 64)), InvalidArgument);
@@ -238,7 +244,12 @@ TEST(Fleet, RejectsMalformedChunks) {
   EXPECT_THROW(engine.process(Mat(data.rows() - 1, 64)), InvalidArgument);
 }
 
-TEST(Fleet, AsyncRunParksPrefetchedChunkWhenProcessingFails) {
+TEST(Fleet, RejectsMalformedChunks) {
+  for_each_stride(rejects_malformed_chunks);
+}
+
+void async_run_parks_prefetched_chunk_when_processing_fails(
+    std::size_t stride) {
   // A mid-stream failure must not swallow the chunk the async prefetch
   // already pulled from the source: the next run() resumes with it.
   class ScriptedSource final : public ChunkSource {
@@ -265,7 +276,8 @@ TEST(Fleet, AsyncRunParksPrefetchedChunkWhenProcessingFails) {
 
   Assessor engine(AssessorConfig{}
                       .pipeline(fleet_pipeline_options())
-                      .ingest(prefetch(true)));
+                      .ingest(prefetch(true))
+                      .hierarchy(stride));
   // The first chunk's snapshot is delivered before the malformed second
   // chunk fails the run — delivery happens as snapshots are produced.
   CollectingSink failed;
@@ -282,6 +294,10 @@ TEST(Fleet, AsyncRunParksPrefetchedChunkWhenProcessingFails) {
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_EQ(resumed.front().chunk_index, 1u);
   EXPECT_EQ(resumed.front().total_snapshots, 256u + 64u);
+}
+
+TEST(Fleet, AsyncRunParksPrefetchedChunkWhenProcessingFails) {
+  for_each_stride(async_run_parks_prefetched_chunk_when_processing_fails);
 }
 
 TEST(Fleet, RackGroupsFollowMachineTopology) {
@@ -326,7 +342,7 @@ TEST(Fleet, ShardedEnvSourceSlicesMatchTheFullStream) {
   }
 }
 
-TEST(Fleet, RunsOverRackShardedTelemetry) {
+void runs_over_rack_sharded_telemetry(std::size_t stride) {
   const telemetry::MachineSpec spec = telemetry::MachineSpec::testbed();
   telemetry::SensorModel model(spec);
   telemetry::FaultSpec fault;
@@ -350,7 +366,8 @@ TEST(Fleet, RunsOverRackShardedTelemetry) {
   Assessor engine(AssessorConfig{}
                       .pipeline(pipeline_options)
                       .sharded(source.groups(), 1)
-                      .sensors(spec.sensor_count()));
+                      .sensors(spec.sensor_count())
+                      .hierarchy(stride));
   const auto snapshots = run_collect(engine, source);
   ASSERT_EQ(snapshots.size(), 3u);
   EXPECT_EQ(engine.group_count(), spec.racks);
@@ -363,6 +380,10 @@ TEST(Fleet, RunsOverRackShardedTelemetry) {
     if (z >= last.zscores.zscores[5]) ++above;
   }
   EXPECT_LE(above, spec.sensor_count() / 8);
+}
+
+TEST(Fleet, RunsOverRackShardedTelemetry) {
+  for_each_stride(runs_over_rack_sharded_telemetry);
 }
 
 }  // namespace

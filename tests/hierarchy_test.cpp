@@ -1,15 +1,13 @@
 // Two-level multifidelity hierarchy: the deterministic coarse grid, the
 // two-level z-score reconciliation, flat-mode bitwise identity with the
 // direct model composition, hierarchy bitwise invariance across lanes x
-// prefetch depths x ranks, the IMRDMD_HIERARCHY_STRIDE environment
-// default, and the versioned IMRDFL2 checkpoint container (round-trip,
-// rank-count byte invariance, and truncation/corruption fuzz through the
-// coarse section).
+// prefetch depths x ranks, and the versioned IMRDFL2 checkpoint container
+// (round-trip, rank-count byte invariance, and truncation/corruption fuzz
+// through the coarse section).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -35,6 +33,7 @@ using core::ModelStack;
 using core::PipelineOptions;
 using core::ReconciledZscores;
 using core::StopCondition;
+using imrdmd::testing::expect_snapshot_equal;
 using imrdmd::testing::planted_multiscale;
 
 using MatChunkSource = core::MatrixChunkSource;
@@ -60,19 +59,6 @@ void expect_bitwise_equal(const std::vector<double>& a,
   }
 }
 
-void expect_snapshot_equal(const AssessmentSnapshot& a,
-                           const AssessmentSnapshot& b) {
-  EXPECT_EQ(a.chunk_index, b.chunk_index);
-  EXPECT_EQ(a.total_snapshots, b.total_snapshots);
-  expect_bitwise_equal(a.magnitudes, b.magnitudes);
-  expect_bitwise_equal(a.sensor_means, b.sensor_means);
-  expect_bitwise_equal(a.zscores.zscores, b.zscores.zscores);
-  EXPECT_EQ(a.zscores.baseline_sensors, b.zscores.baseline_sensors);
-  expect_bitwise_equal(a.coarse_magnitudes, b.coarse_magnitudes);
-  expect_bitwise_equal(a.coarse_zscores, b.coarse_zscores);
-  expect_bitwise_equal(a.residual_zscores, b.residual_zscores);
-}
-
 std::vector<AssessmentSnapshot> run_collect(Assessor& engine,
                                             core::ChunkSource& stream,
                                             std::size_t max_chunks = 0) {
@@ -82,33 +68,6 @@ std::vector<AssessmentSnapshot> run_collect(Assessor& engine,
   engine.run_until(stream, sink, stop);
   return sink.take();
 }
-
-/// Scoped override of IMRDMD_HIERARCHY_STRIDE, restored on destruction so
-/// a failing assertion cannot leak the value into later tests.
-class ScopedStrideEnv {
- public:
-  explicit ScopedStrideEnv(const char* value) {
-    const char* previous = std::getenv("IMRDMD_HIERARCHY_STRIDE");
-    if (previous != nullptr) saved_ = previous;
-    had_ = previous != nullptr;
-    if (value != nullptr) {
-      ::setenv("IMRDMD_HIERARCHY_STRIDE", value, 1);
-    } else {
-      ::unsetenv("IMRDMD_HIERARCHY_STRIDE");
-    }
-  }
-  ~ScopedStrideEnv() {
-    if (had_) {
-      ::setenv("IMRDMD_HIERARCHY_STRIDE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("IMRDMD_HIERARCHY_STRIDE");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 // --- coarse grid ---------------------------------------------------------
 
@@ -165,10 +124,12 @@ TEST(ModelStack, UpdateCoarseSubtractsInterpolatedReconstruction) {
   stack.enable_coarse(groups, 6, 1, options.imrdmd);
   core::IncrementalMrdmd reference(options.imrdmd);
 
+  // Stride 1: the grid rows are the whole chunk, and every sensor is owned.
+  const std::vector<std::size_t> sensors = {0, 1, 2, 3, 4, 5};
   const Mat first = data.block(0, 0, 6, 128);
   Mat residual;
   const core::CoarseUpdate update =
-      stack.update_coarse(first, options.band, residual);
+      stack.update_coarse(first, options.band, sensors, first, residual);
   reference.initial_fit(first);
   ASSERT_EQ(residual.rows(), first.rows());
   ASSERT_EQ(residual.cols(), first.cols());
@@ -182,7 +143,7 @@ TEST(ModelStack, UpdateCoarseSubtractsInterpolatedReconstruction) {
   // Second chunk: incremental path, same contract over the new window.
   const Mat second = data.block(0, 128, 6, 64);
   const core::CoarseUpdate next =
-      stack.update_coarse(second, options.band, residual);
+      stack.update_coarse(second, options.band, sensors, second, residual);
   reference.partial_fit(second);
   const Mat recon2 = reference.reconstruct(128, 192);
   for (std::size_t i = 0; i < residual.size(); ++i) {
@@ -438,37 +399,6 @@ TEST(DistributedAssessor, HierarchyIsBitwiseInvariantAcrossRanks) {
   }
 }
 
-// --- environment default -------------------------------------------------
-
-TEST(Assessor, EnvironmentStrideSuppliesTheDefaultOnly) {
-  const Mat data = hierarchy_data();
-  ScopedStrideEnv env("3");
-  // No explicit hierarchy(): the environment default applies.
-  Assessor defaulted(
-      AssessorConfig{}.pipeline(hierarchy_pipeline_options()));
-  EXPECT_TRUE(defaulted.hierarchical() || defaulted.sensors() == 0);
-  defaulted.process(data.block(0, 0, data.rows(), 256));
-  EXPECT_TRUE(defaulted.hierarchical());
-  EXPECT_EQ(defaulted.coarse_stride(), 3u);
-  // Explicit hierarchy(0) pins flat mode regardless of the environment.
-  Assessor pinned(
-      AssessorConfig{}.pipeline(hierarchy_pipeline_options()).hierarchy(0));
-  pinned.process(data.block(0, 0, data.rows(), 256));
-  EXPECT_FALSE(pinned.hierarchical());
-  // Explicit hierarchy(5) likewise wins over the environment.
-  Assessor explicit_stride(
-      AssessorConfig{}.pipeline(hierarchy_pipeline_options()).hierarchy(5));
-  explicit_stride.process(data.block(0, 0, data.rows(), 256));
-  EXPECT_EQ(explicit_stride.coarse_stride(), 5u);
-}
-
-TEST(Assessor, EnvironmentStrideRejectsGarbage) {
-  ScopedStrideEnv env("not-a-number");
-  EXPECT_THROW(
-      Assessor{AssessorConfig{}.pipeline(hierarchy_pipeline_options())},
-      InvalidArgument);
-}
-
 // --- versioned checkpoint container --------------------------------------
 
 std::string small_hierarchy_bytes() {
@@ -541,35 +471,6 @@ TEST(FleetCheckpoint, HierarchyRoundTripsResavesAndResumesBitwise) {
   const auto after = run_collect(restored.assessor, rest);
   ASSERT_EQ(after.size(), 1u);
   expect_snapshot_equal(after[0], expected[2]);
-}
-
-TEST(FleetCheckpoint, FlatContainerLoadsAsStrideDisabledUnderTheEnv) {
-  // A V1 container saved by a flat engine must resume as a flat engine
-  // even when IMRDMD_HIERARCHY_STRIDE is set: the checkpoint's recorded
-  // topology wins over the environment default, or a resumed fleet would
-  // silently diverge from its own checkpoint bytes.
-  const Mat data = hierarchy_data();
-  std::stringstream bytes;
-  {
-    ScopedStrideEnv off(nullptr);
-    Assessor engine(AssessorConfig{}
-                        .pipeline(hierarchy_pipeline_options())
-                        .sharded(core::contiguous_groups(data.rows(), 3))
-                        .sensors(data.rows())
-                        .hierarchy(0));
-    MatChunkSource source(data, 256, 64);
-    run_collect(engine, source, 2);
-    core::save_assessor_checkpoint(bytes, engine);
-  }
-  ASSERT_EQ(bytes.str().substr(0, 8), "IMRDFL1\n");
-  ScopedStrideEnv env("4");
-  core::RestoredAssessor restored = core::load_assessor_checkpoint(bytes);
-  EXPECT_FALSE(restored.assessor.hierarchical());
-  EXPECT_EQ(restored.assessor.coarse_stride(), 0u);
-  // And it resaves as V1, not V2 — the env cannot rewrite history.
-  std::stringstream resaved;
-  core::save_assessor_checkpoint(resaved, restored.assessor);
-  EXPECT_EQ(resaved.str().substr(0, 8), "IMRDFL1\n");
 }
 
 TEST(FleetCheckpoint, HierarchyEveryTruncationPointYieldsParseError) {

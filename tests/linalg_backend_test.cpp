@@ -109,17 +109,24 @@ TEST(LinalgBackendRegistry, CapabilitiesAreReported) {
   }
 }
 
-TEST(LinalgBackendConfig, AssessorConfigSelectsBackend) {
+void assessor_config_selects_backend(std::size_t stride) {
   BackendGuard guard;
   core::PipelineOptions options;
   options.imrdmd.mrdmd.max_levels = 3;
   options.imrdmd.mrdmd.dt = 1.0;
-  core::Assessor assessor(
-      core::AssessorConfig().pipeline(options).monolithic().linalg("avx2"));
+  core::Assessor assessor(core::AssessorConfig()
+                              .pipeline(options)
+                              .monolithic()
+                              .linalg("avx2")
+                              .hierarchy(stride));
   EXPECT_STREQ(linalg::active_backend().name(), "avx2");
 }
 
-TEST(LinalgBackendConfig, UnknownBackendNameFailsConstruction) {
+TEST(LinalgBackendConfig, AssessorConfigSelectsBackend) {
+  for_each_stride(assessor_config_selects_backend);
+}
+
+void unknown_backend_name_fails_construction(std::size_t stride) {
   BackendGuard guard;
   core::PipelineOptions options;
   options.imrdmd.mrdmd.max_levels = 3;
@@ -127,8 +134,13 @@ TEST(LinalgBackendConfig, UnknownBackendNameFailsConstruction) {
   EXPECT_THROW(core::Assessor(core::AssessorConfig()
                                   .pipeline(options)
                                   .monolithic()
-                                  .linalg("no-such-backend")),
+                                  .linalg("no-such-backend")
+                                  .hierarchy(stride)),
                InvalidArgument);
+}
+
+TEST(LinalgBackendConfig, UnknownBackendNameFailsConstruction) {
+  for_each_stride(unknown_backend_name_fails_construction);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +151,7 @@ TEST(LinalgBackendConfig, UnknownBackendNameFailsConstruction) {
 // ---------------------------------------------------------------------------
 
 std::vector<core::AssessmentSnapshot> run_stream_under(
-    const std::string& backend_name) {
+    std::size_t stride, const std::string& backend_name) {
   BackendGuard guard;
   linalg::set_active_backend(backend_name);
 
@@ -155,7 +167,7 @@ std::vector<core::AssessmentSnapshot> run_stream_under(
   options.imrdmd.mrdmd.dt = 1.0;
   options.baseline = {-10.0, 10.0};
   core::Assessor assessor(
-      core::AssessorConfig().pipeline(options).monolithic());
+      core::AssessorConfig().pipeline(options).monolithic().hierarchy(stride));
 
   core::MatrixChunkSource source(data, 128, 64);
   core::CollectingSink sink;
@@ -163,12 +175,12 @@ std::vector<core::AssessmentSnapshot> run_stream_under(
   return sink.take();
 }
 
-TEST(LinalgBackendEndToEnd, Avx2KeepsAssessmentDecisionsInBand) {
+void avx2_keeps_assessment_decisions_in_band(std::size_t stride) {
   if (linalg::find_backend("avx2") == nullptr) {
     GTEST_SKIP() << "avx2 backend not registered in this build";
   }
-  const auto ref_snapshots = run_stream_under("reference");
-  const auto avx_snapshots = run_stream_under("avx2");
+  const auto ref_snapshots = run_stream_under(stride, "reference");
+  const auto avx_snapshots = run_stream_under(stride, "avx2");
   ASSERT_EQ(ref_snapshots.size(), avx_snapshots.size());
   ASSERT_FALSE(ref_snapshots.empty());
 
@@ -187,6 +199,10 @@ TEST(LinalgBackendEndToEnd, Avx2KeepsAssessmentDecisionsInBand) {
           << "chunk " << c << " sensor " << s;
     }
   }
+}
+
+TEST(LinalgBackendEndToEnd, Avx2KeepsAssessmentDecisionsInBand) {
+  for_each_stride(avx2_keeps_assessment_decisions_in_band);
 }
 
 }  // namespace

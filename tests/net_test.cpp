@@ -68,8 +68,10 @@ using net::ShipperOptions;
 using net::ShipSummary;
 using net::Socket;
 using net::TcpChunkSource;
+using imrdmd::testing::expect_snapshot_equal;
 using imrdmd::testing::FaultPlan;
 using imrdmd::testing::FaultProxy;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 /// A fresh (non-resuming) journal path — TcpChunkSource deliberately
@@ -716,21 +718,6 @@ PipelineOptions net_pipeline_options() {
   return options;
 }
 
-void expect_snapshot_equal(const AssessmentSnapshot& a,
-                           const AssessmentSnapshot& b) {
-  EXPECT_EQ(a.chunk_index, b.chunk_index);
-  EXPECT_EQ(a.chunk_snapshots, b.chunk_snapshots);
-  EXPECT_EQ(a.total_snapshots, b.total_snapshots);
-  ASSERT_EQ(a.magnitudes.size(), b.magnitudes.size());
-  for (std::size_t i = 0; i < a.magnitudes.size(); ++i) {
-    EXPECT_EQ(a.magnitudes[i], b.magnitudes[i]) << "magnitude " << i;
-  }
-  ASSERT_EQ(a.zscores.zscores.size(), b.zscores.zscores.size());
-  for (std::size_t i = 0; i < a.zscores.zscores.size(); ++i) {
-    EXPECT_EQ(a.zscores.zscores[i], b.zscores.zscores[i]) << "zscore " << i;
-  }
-}
-
 /// MatrixChunkSource with a per-chunk delay, so the tenant is genuinely
 /// network-paced and a stop() lands mid-stream.
 class PacedMatrixSource final : public ChunkSource {
@@ -751,7 +738,8 @@ class PacedMatrixSource final : public ChunkSource {
   std::chrono::milliseconds delay_;
 };
 
-TEST(NetTenant, SocketFedTenantStopsCheckpointsAndResumesBitwise) {
+void socket_fed_tenant_stops_checkpoints_and_resumes_bitwise(
+    std::size_t stride) {
   // The acceptance gate: a tenant fed over the wire (through a mid-frame
   // kill + reconnect, no less) is stopped mid-stream, checkpointed, and a
   // successor resumes from the SAME journal — and the concatenation equals
@@ -760,7 +748,10 @@ TEST(NetTenant, SocketFedTenantStopsCheckpointsAndResumesBitwise) {
   const std::size_t sensors = 8;
   const Mat data = planted_multiscale(sensors, 64 + 40 * 16, 0.02, rng);
   AssessorConfig config;
-  config.pipeline(net_pipeline_options()).sensors(sensors).monolithic();
+  config.pipeline(net_pipeline_options())
+      .sensors(sensors)
+      .monolithic()
+      .hierarchy(stride);
 
   // Reference: the direct, uninterrupted run.
   std::vector<AssessmentSnapshot> reference;
@@ -860,6 +851,10 @@ TEST(NetTenant, SocketFedTenantStopsCheckpointsAndResumesBitwise) {
   }
   std::remove(checkpoint_path.c_str());
   std::remove(journal_path.c_str());
+}
+
+TEST(NetTenant, SocketFedTenantStopsCheckpointsAndResumesBitwise) {
+  for_each_stride(socket_fed_tenant_stops_checkpoints_and_resumes_bitwise);
 }
 
 TEST(NetTenant, FactoryMintsStreamsOnFirstHello) {

@@ -11,6 +11,7 @@
 #include "rack/render.hpp"
 #include "telemetry/env_stream.hpp"
 #include "telemetry/scenario.hpp"
+#include "test_util.hpp"
 
 namespace imrdmd {
 namespace {
@@ -21,6 +22,7 @@ using core::AssessmentSnapshot;
 using core::CollectingSink;
 using core::PipelineOptions;
 using core::ThermalState;
+using imrdmd::testing::for_each_stride;
 using telemetry::EnvLogStream;
 using telemetry::EnvStreamOptions;
 using telemetry::Scenario;
@@ -42,7 +44,7 @@ std::vector<AssessmentSnapshot> run_collect(Assessor& engine,
   return sink.take();
 }
 
-TEST(PipelineIntegration, DetectsInjectedHotNodes) {
+void detects_injected_hot_nodes(std::size_t stride) {
   ScenarioOptions scenario_options;
   scenario_options.machine_scale = 0.05;  // ~220 nodes
   scenario_options.horizon = 768;
@@ -55,7 +57,8 @@ TEST(PipelineIntegration, DetectsInjectedHotNodes) {
   stream_options.sensor_subset = scenario.analyzed_nodes;
   EnvLogStream stream(*scenario.sensors, stream_options);
 
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   const std::vector<AssessmentSnapshot> snapshots =
       run_collect(engine, stream);
   ASSERT_EQ(snapshots.size(), 3u);  // 512 + 128 + 128
@@ -87,7 +90,11 @@ TEST(PipelineIntegration, DetectsInjectedHotNodes) {
   EXPECT_GT(min_hot_z, 1.0);
 }
 
-TEST(PipelineIntegration, MemoryErrorNodesAreNotThermallyFlagged) {
+TEST(PipelineIntegration, DetectsInjectedHotNodes) {
+  for_each_stride(detects_injected_hot_nodes);
+}
+
+void memory_error_nodes_are_not_thermally_flagged(std::size_t stride) {
   // The case-study-1 narrative: correctable-memory nodes sit near baseline.
   ScenarioOptions scenario_options;
   scenario_options.machine_scale = 0.05;
@@ -101,7 +108,8 @@ TEST(PipelineIntegration, MemoryErrorNodesAreNotThermallyFlagged) {
   stream_options.sensor_subset = scenario.analyzed_nodes;
   EnvLogStream stream(*scenario.sensors, stream_options);
 
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   const auto snapshots = run_collect(engine, stream);
   const auto& last = snapshots.back();
 
@@ -117,7 +125,11 @@ TEST(PipelineIntegration, MemoryErrorNodesAreNotThermallyFlagged) {
   }
 }
 
-TEST(PipelineIntegration, AlignmentStatsSeparateFaultClasses) {
+TEST(PipelineIntegration, MemoryErrorNodesAreNotThermallyFlagged) {
+  for_each_stride(memory_error_nodes_are_not_thermally_flagged);
+}
+
+void alignment_stats_separate_fault_classes(std::size_t stride) {
   ScenarioOptions scenario_options;
   scenario_options.machine_scale = 0.05;
   scenario_options.horizon = 640;
@@ -130,7 +142,8 @@ TEST(PipelineIntegration, AlignmentStatsSeparateFaultClasses) {
   stream_options.sensor_subset = scenario.analyzed_nodes;
   EnvLogStream stream(*scenario.sensors, stream_options);
 
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   const auto snapshots = run_collect(engine, stream);
   const auto& last = snapshots.back();
 
@@ -178,7 +191,11 @@ TEST(PipelineIntegration, AlignmentStatsSeparateFaultClasses) {
   EXPECT_GT(thermal.phi, memory.phi + 0.15);
 }
 
-TEST(PipelineIntegration, ZscoresRenderToRackView) {
+TEST(PipelineIntegration, AlignmentStatsSeparateFaultClasses) {
+  for_each_stride(alignment_stats_separate_fault_classes);
+}
+
+void zscores_render_to_rack_view(std::size_t stride) {
   ScenarioOptions scenario_options;
   scenario_options.machine_scale = 0.05;
   scenario_options.horizon = 512;
@@ -189,7 +206,8 @@ TEST(PipelineIntegration, ZscoresRenderToRackView) {
   stream_options.total_snapshots = 512;
   EnvLogStream stream(*scenario.sensors, stream_options);
 
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   const auto snapshots = run_collect(engine, stream);
 
   // Render whole-machine z-scores onto the machine's layout.
@@ -206,7 +224,11 @@ TEST(PipelineIntegration, ZscoresRenderToRackView) {
   EXPECT_FALSE(ansi.empty());
 }
 
-TEST(PipelineIntegration, DriftReportsAccumulateSanely) {
+TEST(PipelineIntegration, ZscoresRenderToRackView) {
+  for_each_stride(zscores_render_to_rack_view);
+}
+
+void drift_reports_accumulate_sanely(std::size_t stride) {
   ScenarioOptions scenario_options;
   scenario_options.machine_scale = 0.03;
   scenario_options.horizon = 1024;
@@ -219,7 +241,8 @@ TEST(PipelineIntegration, DriftReportsAccumulateSanely) {
   stream_options.sensor_subset = scenario.analyzed_nodes;
   EnvLogStream stream(*scenario.sensors, stream_options);
 
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   const auto snapshots = run_collect(engine, stream);
   for (std::size_t i = 1; i < snapshots.size(); ++i) {
     ASSERT_EQ(snapshots[i].reports.size(), 1u);
@@ -230,9 +253,14 @@ TEST(PipelineIntegration, DriftReportsAccumulateSanely) {
   }
 }
 
-TEST(PipelineIntegration, MidStreamSensorCountChangeRejected) {
+TEST(PipelineIntegration, DriftReportsAccumulateSanely) {
+  for_each_stride(drift_reports_accumulate_sanely);
+}
+
+void mid_stream_sensor_count_change_rejected(std::size_t stride) {
   // Typed rejection at the API boundary, not a shape error deep in the fit.
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   Rng rng(3);
   linalg::Mat first(8, 512);
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -245,8 +273,13 @@ TEST(PipelineIntegration, MidStreamSensorCountChangeRejected) {
   EXPECT_THROW(engine.process(fewer), InvalidArgument);
 }
 
-TEST(PipelineIntegration, ZeroColumnChunkRejected) {
-  Assessor engine(AssessorConfig{}.pipeline(scenario_pipeline_options()));
+TEST(PipelineIntegration, MidStreamSensorCountChangeRejected) {
+  for_each_stride(mid_stream_sensor_count_change_rejected);
+}
+
+void zero_column_chunk_rejected(std::size_t stride) {
+  Assessor engine(
+      AssessorConfig{}.pipeline(scenario_pipeline_options()).hierarchy(stride));
   EXPECT_THROW(engine.process(linalg::Mat(8, 0)), InvalidArgument);
   // Also rejected after a successful initial fit.
   Rng rng(4);
@@ -256,6 +289,10 @@ TEST(PipelineIntegration, ZeroColumnChunkRejected) {
   }
   engine.process(first);
   EXPECT_THROW(engine.process(linalg::Mat(8, 0)), InvalidArgument);
+}
+
+TEST(PipelineIntegration, ZeroColumnChunkRejected) {
+  for_each_stride(zero_column_chunk_rejected);
 }
 
 }  // namespace

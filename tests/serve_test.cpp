@@ -56,6 +56,8 @@ using serve::MetricsRegistry;
 using serve::RingBufferSink;
 using serve::TenantOptions;
 using serve::TenantState;
+using imrdmd::testing::expect_snapshot_equal;
+using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
 PipelineOptions serve_pipeline_options() {
@@ -64,28 +66,6 @@ PipelineOptions serve_pipeline_options() {
   options.imrdmd.mrdmd.dt = 1.0;
   options.baseline = {-10.0, 10.0};  // planted signal means: keep everyone
   return options;
-}
-
-void expect_bitwise_equal(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "index " << i;
-  }
-}
-
-void expect_snapshot_equal(const AssessmentSnapshot& a,
-                           const AssessmentSnapshot& b) {
-  EXPECT_EQ(a.chunk_index, b.chunk_index);
-  EXPECT_EQ(a.chunk_snapshots, b.chunk_snapshots);
-  EXPECT_EQ(a.total_snapshots, b.total_snapshots);
-  expect_bitwise_equal(a.magnitudes, b.magnitudes);
-  expect_bitwise_equal(a.sensor_means, b.sensor_means);
-  expect_bitwise_equal(a.zscores.zscores, b.zscores.zscores);
-  EXPECT_EQ(a.zscores.baseline_sensors, b.zscores.baseline_sensors);
-  expect_bitwise_equal(a.coarse_magnitudes, b.coarse_magnitudes);
-  expect_bitwise_equal(a.coarse_zscores, b.coarse_zscores);
-  expect_bitwise_equal(a.residual_zscores, b.residual_zscores);
 }
 
 /// One tenant's scenario: its own planted stream (distinct seed/width) and
@@ -97,7 +77,7 @@ struct TenantScenario {
   AssessorConfig config;
 };
 
-TenantScenario make_scenario(std::size_t index) {
+TenantScenario make_scenario(std::size_t stride, std::size_t index) {
   TenantScenario scenario;
   const std::size_t sensors = 9 + index;
   Rng rng(100 + index);
@@ -105,7 +85,8 @@ TenantScenario make_scenario(std::size_t index) {
   scenario.config.pipeline(serve_pipeline_options())
       .sensors(sensors)
       .sharded(core::contiguous_groups(sensors, 2 + index % 3),
-               1 + index % 2);
+               1 + index % 2)
+      .hierarchy(stride);
   scenario.config.ingest_options.prefetch_depth = index % 3;
   return scenario;
 }
@@ -184,12 +165,12 @@ class ProbeSink final : public core::SnapshotSink {
 
 // --- AssessorService: the multi-tenant bitwise gate ----------------------
 
-TEST(ServeMultiTenant, BitwiseIdenticalToSoloRunsAcrossTenantCounts) {
+void bitwise_identical_to_solo_runs_across_tenant_counts(std::size_t stride) {
   for (const std::size_t tenant_count : {1u, 4u, 8u}) {
     std::vector<TenantScenario> scenarios;
     std::vector<std::vector<AssessmentSnapshot>> reference;
     for (std::size_t i = 0; i < tenant_count; ++i) {
-      scenarios.push_back(make_scenario(i));
+      scenarios.push_back(make_scenario(stride, i));
       reference.push_back(solo_run(scenarios.back()));
       ASSERT_EQ(reference.back().size(), 5u) << "tenant " << i;
     }
@@ -239,6 +220,10 @@ TEST(ServeMultiTenant, BitwiseIdenticalToSoloRunsAcrossTenantCounts) {
   }
 }
 
+TEST(ServeMultiTenant, BitwiseIdenticalToSoloRunsAcrossTenantCounts) {
+  for_each_stride(bitwise_identical_to_solo_runs_across_tenant_counts);
+}
+
 /// Source that throws mid-stream — the "killed tenant".
 class FailingSource final : public ChunkSource {
  public:
@@ -259,10 +244,10 @@ class FailingSource final : public ChunkSource {
   std::size_t pulls_ = 0;
 };
 
-TEST(ServeMultiTenant, OneTenantFailureIsIsolated) {
-  const auto healthy_a = make_scenario(0);
-  const auto healthy_b = make_scenario(1);
-  const auto doomed = make_scenario(2);
+void one_tenant_failure_is_isolated(std::size_t stride) {
+  const auto healthy_a = make_scenario(stride, 0);
+  const auto healthy_b = make_scenario(stride, 1);
+  const auto doomed = make_scenario(stride, 2);
   const auto reference_a = solo_run(healthy_a);
   const auto reference_b = solo_run(healthy_b);
 
@@ -306,6 +291,10 @@ TEST(ServeMultiTenant, OneTenantFailureIsIsolated) {
   expect_untouched("healthy-b", sink_b, reference_b);
 }
 
+TEST(ServeMultiTenant, OneTenantFailureIsIsolated) {
+  for_each_stride(one_tenant_failure_is_isolated);
+}
+
 /// MatrixChunkSource with a per-chunk delay: paces a long stream so a
 /// stop() lands mid-stream deterministically (not after completion).
 class PacedSource final : public ChunkSource {
@@ -326,7 +315,7 @@ class PacedSource final : public ChunkSource {
   std::chrono::milliseconds delay_;
 };
 
-TEST(ServeService, StopCheckpointsAndResumeContinuesBitwise) {
+void stop_checkpoints_and_resume_continues_bitwise(std::size_t stride) {
   // A long stream the service will NOT finish: stop() mid-way, then resume
   // a fresh engine from the stop checkpoint and run to the end; the two
   // delivered streams concatenate to exactly the uninterrupted solo run.
@@ -338,7 +327,8 @@ TEST(ServeService, StopCheckpointsAndResumeContinuesBitwise) {
   scenario.chunk = 16;
   scenario.config.pipeline(serve_pipeline_options())
       .sensors(10)
-      .sharded(core::contiguous_groups(10, 2), 2);
+      .sharded(core::contiguous_groups(10, 2), 2)
+      .hierarchy(stride);
   const auto reference = solo_run(scenario);
   ASSERT_EQ(reference.size(), 61u);
 
@@ -389,13 +379,19 @@ TEST(ServeService, StopCheckpointsAndResumeContinuesBitwise) {
   std::remove(checkpoint_path.c_str());
 }
 
-TEST(ServeService, ValidatesRegistrations) {
+TEST(ServeService, StopCheckpointsAndResumeContinuesBitwise) {
+  for_each_stride(stop_checkpoints_and_resume_continues_bitwise);
+}
+
+void validates_registrations(std::size_t stride) {
   AssessorService service;
   Rng rng(1);
   const Mat data = planted_multiscale(6, 64, 0.0, rng);
   MatrixChunkSource source(data, 32, 16);
   TenantOptions options;
-  options.config.pipeline(serve_pipeline_options()).monolithic();
+  options.config.pipeline(serve_pipeline_options())
+      .monolithic()
+      .hierarchy(stride);
   options.source = &source;
 
   EXPECT_THROW(service.add_tenant("", options), InvalidArgument);
@@ -414,6 +410,10 @@ TEST(ServeService, ValidatesRegistrations) {
     distributed.config.distributed(comm);
     EXPECT_THROW(service.add_tenant("b", distributed), InvalidArgument);
   });
+}
+
+TEST(ServeService, ValidatesRegistrations) {
+  for_each_stride(validates_registrations);
 }
 
 // --- AsyncSink contract ---------------------------------------------------
@@ -579,8 +579,8 @@ void expect_parses_as_openmetrics(const std::string& text) {
   EXPECT_EQ(last, "# EOF");
 }
 
-TEST(ServeMetrics, ServiceRegistryParsesAsOpenMetrics) {
-  const auto scenario = make_scenario(3);
+void service_registry_parses_as_open_metrics(std::size_t stride) {
+  const auto scenario = make_scenario(stride, 3);
   AssessorService service;
   MatrixChunkSource source(scenario.data, scenario.initial, scenario.chunk);
   core::LatestOnlySink sink;
@@ -593,6 +593,10 @@ TEST(ServeMetrics, ServiceRegistryParsesAsOpenMetrics) {
   service.drain("parse-me");
   ASSERT_EQ(service.status("parse-me").state, TenantState::Completed);
   expect_parses_as_openmetrics(service.metrics().render_openmetrics());
+}
+
+TEST(ServeMetrics, ServiceRegistryParsesAsOpenMetrics) {
+  for_each_stride(service_registry_parses_as_open_metrics);
 }
 
 // --- HttpExporter ---------------------------------------------------------

@@ -33,37 +33,51 @@ using core::StopReason;
 
 // --- conformance harness instantiations ---------------------------------
 
-struct MonolithicTopology {
+// Each topology runs flat and, in its Hierarchical twin, at coarse
+// stride 2.
+template <std::size_t Stride>
+struct Monolithic {
   static Assessor make(AssessorConfig base) {
-    base.monolithic();
+    base.monolithic().hierarchy(Stride);
     base.ingest_options.prefetch_depth = 1;
     return Assessor(std::move(base));
   }
 };
 
-struct ShardedTopology {
+template <std::size_t Stride>
+struct Sharded {
   static Assessor make(AssessorConfig base) {
-    base.sharded(core::contiguous_groups(9, 3), 3).sensors(9);
+    base.sharded(core::contiguous_groups(9, 3), 3).sensors(9).hierarchy(Stride);
     base.ingest_options.prefetch_depth = 2;
     return Assessor(std::move(base));
   }
 };
 
-struct SyncShardedTopology {
+template <std::size_t Stride>
+struct SyncSharded {
   static Assessor make(AssessorConfig base) {
-    base.sharded(core::contiguous_groups(9, 3), 2).sensors(9);
+    base.sharded(core::contiguous_groups(9, 3), 2).sensors(9).hierarchy(Stride);
     base.ingest_options.prefetch_depth = 0;
     return Assessor(std::move(base));
   }
 };
 
+struct MonolithicTopology : Monolithic<0> {};
+struct ShardedTopology : Sharded<0> {};
+struct SyncShardedTopology : SyncSharded<0> {};
+struct HierarchicalMonolithicTopology : Monolithic<2> {};
+struct HierarchicalShardedTopology : Sharded<2> {};
+struct HierarchicalSyncShardedTopology : SyncSharded<2> {};
+
 using SinkConformanceTopologies =
-    ::testing::Types<MonolithicTopology, ShardedTopology,
-                     SyncShardedTopology>;
+    ::testing::Types<MonolithicTopology, ShardedTopology, SyncShardedTopology,
+                     HierarchicalMonolithicTopology,
+                     HierarchicalShardedTopology,
+                     HierarchicalSyncShardedTopology>;
 INSTANTIATE_TYPED_TEST_SUITE_P(Engine, SnapshotSinkConformance,
                                SinkConformanceTopologies);
 
-TEST(DistributedSnapshotSinkConformance, OrderedExactlyOnceOnEveryRank) {
+void ordered_exactly_once_on_every_rank(std::size_t stride) {
   // The distributed topology delivers the identical stream to every
   // rank's sink, in order, exactly once.
   Rng rng(31);
@@ -79,7 +93,8 @@ TEST(DistributedSnapshotSinkConformance, OrderedExactlyOnceOnEveryRank) {
     config.pipeline(options)
         .sharded(core::contiguous_groups(data.rows(), 3), 1)
         .sensors(data.rows())
-        .distributed(comm);
+        .distributed(comm)
+        .hierarchy(stride);
     Assessor assessor(config);
     std::optional<core::MatrixChunkSource> source;
     if (comm.rank() == 0) source.emplace(data, 128, 64);
@@ -94,6 +109,10 @@ TEST(DistributedSnapshotSinkConformance, OrderedExactlyOnceOnEveryRank) {
     }
     EXPECT_EQ(sink.events.back().kind, RecordingSink::Event::kEnd);
   });
+}
+
+TEST(DistributedSnapshotSinkConformance, OrderedExactlyOnceOnEveryRank) {
+  for_each_stride(ordered_exactly_once_on_every_rank);
 }
 
 // --- sink implementations ------------------------------------------------
@@ -111,17 +130,17 @@ Mat sink_data() {
   return planted_multiscale(9, 256, 0.02, rng);
 }
 
-Assessor make_monolithic() {
+Assessor make_monolithic(std::size_t stride) {
   AssessorConfig config;
-  config.pipeline(sink_pipeline_options()).monolithic();
+  config.pipeline(sink_pipeline_options()).monolithic().hierarchy(stride);
   return Assessor(std::move(config));
 }
 
-TEST(Sinks, CollectingSinkBindsAnExternalVector) {
+void collecting_sink_binds_an_external_vector(std::size_t stride) {
   const Mat data = sink_data();
   std::vector<AssessmentSnapshot> out;
   {
-    Assessor assessor = make_monolithic();
+    Assessor assessor = make_monolithic(stride);
     core::MatrixChunkSource source(data, 128, 64);
     CollectingSink sink(&out);
     assessor.run(source, sink);
@@ -131,7 +150,7 @@ TEST(Sinks, CollectingSinkBindsAnExternalVector) {
   EXPECT_EQ(out.back().total_snapshots, data.cols());
 
   // And owns its storage when not bound.
-  Assessor assessor = make_monolithic();
+  Assessor assessor = make_monolithic(stride);
   core::MatrixChunkSource source(data, 128, 64);
   CollectingSink owned;
   assessor.run(source, owned);
@@ -139,9 +158,13 @@ TEST(Sinks, CollectingSinkBindsAnExternalVector) {
   EXPECT_TRUE(owned.snapshots().empty());
 }
 
-TEST(Sinks, CallbackSinkForwardsAndCanStopTheRun) {
+TEST(Sinks, CollectingSinkBindsAnExternalVector) {
+  for_each_stride(collecting_sink_binds_an_external_vector);
+}
+
+void callback_sink_forwards_and_can_stop_the_run(std::size_t stride) {
   const Mat data = sink_data();
-  Assessor assessor = make_monolithic();
+  Assessor assessor = make_monolithic(stride);
   core::MatrixChunkSource source(data, 128, 64);
   std::size_t seen = 0;
   bool ended = false;
@@ -160,9 +183,13 @@ TEST(Sinks, CallbackSinkForwardsAndCanStopTheRun) {
   EXPECT_TRUE(ended);
 }
 
-TEST(Sinks, LatestOnlySinkKeepsOnlyTheMostRecentSnapshot) {
+TEST(Sinks, CallbackSinkForwardsAndCanStopTheRun) {
+  for_each_stride(callback_sink_forwards_and_can_stop_the_run);
+}
+
+void latest_only_sink_keeps_only_the_most_recent_snapshot(std::size_t stride) {
   const Mat data = sink_data();
-  Assessor assessor = make_monolithic();
+  Assessor assessor = make_monolithic(stride);
   core::MatrixChunkSource source(data, 128, 64);
   LatestOnlySink sink;
   assessor.run(source, sink);
@@ -172,9 +199,13 @@ TEST(Sinks, LatestOnlySinkKeepsOnlyTheMostRecentSnapshot) {
   EXPECT_EQ(sink.latest()->total_snapshots, data.cols());
 }
 
-TEST(Sinks, JsonlSinkWritesOneRecordPerEvent) {
+TEST(Sinks, LatestOnlySinkKeepsOnlyTheMostRecentSnapshot) {
+  for_each_stride(latest_only_sink_keeps_only_the_most_recent_snapshot);
+}
+
+void jsonl_sink_writes_one_record_per_event(std::size_t stride) {
   const Mat data = sink_data();
-  Assessor assessor = make_monolithic();
+  Assessor assessor = make_monolithic(stride);
   core::MatrixChunkSource source(data, 128, 64);
   std::ostringstream out;
   JsonlSink sink(out);
@@ -203,11 +234,18 @@ TEST(Sinks, JsonlSinkWritesOneRecordPerEvent) {
   EXPECT_EQ(end_lines, 1u);
 }
 
-TEST(Sinks, JsonlSinkRecordsCheckpointsAndOptionalZscores) {
+TEST(Sinks, JsonlSinkWritesOneRecordPerEvent) {
+  for_each_stride(jsonl_sink_writes_one_record_per_event);
+}
+
+void jsonl_sink_records_checkpoints_and_optional_zscores(std::size_t stride) {
   const Mat data = sink_data();
   const std::string ckpt = ::testing::TempDir() + "/jsonl_sink.ckpt";
   AssessorConfig config;
-  config.pipeline(sink_pipeline_options()).monolithic().checkpoint({1, ckpt});
+  config.pipeline(sink_pipeline_options())
+      .monolithic()
+      .checkpoint({1, ckpt})
+      .hierarchy(stride);
   Assessor assessor(config);
   core::MatrixChunkSource source(data, 128, 64);
   std::ostringstream out;
@@ -233,11 +271,15 @@ TEST(Sinks, JsonlSinkRecordsCheckpointsAndOptionalZscores) {
   std::remove(ckpt.c_str());
 }
 
-TEST(Sinks, JsonlSinkFileVariantWritesAndFailsLoudly) {
+TEST(Sinks, JsonlSinkRecordsCheckpointsAndOptionalZscores) {
+  for_each_stride(jsonl_sink_records_checkpoints_and_optional_zscores);
+}
+
+void jsonl_sink_file_variant_writes_and_fails_loudly(std::size_t stride) {
   const Mat data = sink_data();
   const std::string path = ::testing::TempDir() + "/snapshots.jsonl";
   {
-    Assessor assessor = make_monolithic();
+    Assessor assessor = make_monolithic(stride);
     core::MatrixChunkSource source(data, 128, 64);
     JsonlSink sink(path);
     assessor.run(source, sink);
@@ -255,7 +297,11 @@ TEST(Sinks, JsonlSinkFileVariantWritesAndFailsLoudly) {
                Error);
 }
 
-TEST(Sinks, JsonlSinkAppendModePreservesPriorRecords) {
+TEST(Sinks, JsonlSinkFileVariantWritesAndFailsLoudly) {
+  for_each_stride(jsonl_sink_file_variant_writes_and_fails_loudly);
+}
+
+void jsonl_sink_append_mode_preserves_prior_records(std::size_t stride) {
   const Mat data = sink_data();
   const std::string path = ::testing::TempDir() + "/snapshots_append.jsonl";
   const auto line_count = [&path] {
@@ -266,7 +312,7 @@ TEST(Sinks, JsonlSinkAppendModePreservesPriorRecords) {
     return count;
   };
   {
-    Assessor assessor = make_monolithic();
+    Assessor assessor = make_monolithic(stride);
     core::MatrixChunkSource source(data, 128, 64);
     JsonlSink sink(path);
     assessor.run(source, sink);
@@ -274,7 +320,7 @@ TEST(Sinks, JsonlSinkAppendModePreservesPriorRecords) {
   ASSERT_EQ(line_count(), 4u);
   // A restarted run with append keeps the prior history...
   {
-    Assessor assessor = make_monolithic();
+    Assessor assessor = make_monolithic(stride);
     core::MatrixChunkSource source(data, 128, 64);
     JsonlSink::Options options;
     options.append = true;
@@ -284,13 +330,17 @@ TEST(Sinks, JsonlSinkAppendModePreservesPriorRecords) {
   EXPECT_EQ(line_count(), 8u);
   // ...while the default stays an explicit truncate-on-open.
   {
-    Assessor assessor = make_monolithic();
+    Assessor assessor = make_monolithic(stride);
     core::MatrixChunkSource source(data, 128, 64);
     JsonlSink sink(path);
     assessor.run(source, sink);
   }
   EXPECT_EQ(line_count(), 4u);
   std::remove(path.c_str());
+}
+
+TEST(Sinks, JsonlSinkAppendModePreservesPriorRecords) {
+  for_each_stride(jsonl_sink_append_mode_preserves_prior_records);
 }
 
 }  // namespace

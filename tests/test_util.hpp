@@ -1,10 +1,15 @@
 // Shared helpers for the test suites.
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/assessor.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
@@ -67,6 +72,88 @@ inline linalg::Mat planted_multiscale(std::size_t sensors, std::size_t steps,
     }
   }
   return m;
+}
+
+/// The coarse strides the engine tests run every configuration at: flat,
+/// and the two-level hierarchy.
+inline constexpr std::size_t kStrides[] = {0, 2};
+
+/// Runs `check(stride)` at every stride in kStrides, tracing which one
+/// failed.
+template <typename Check>
+void for_each_stride(const Check& check) {
+  for (const std::size_t stride : kStrides) {
+    SCOPED_TRACE("coarse stride " + std::to_string(stride));
+    check(stride);
+  }
+}
+
+/// Bit-pattern equality of two doubles (NaN matches NaN, 0.0 differs from
+/// -0.0).
+inline void expect_bitwise_equal(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+inline void expect_bitwise_equal(const std::vector<double>& a,
+                                 const std::vector<double>& b,
+                                 const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_bitwise_equal(a[i], b[i], what + "[" + std::to_string(i) + "]");
+  }
+}
+
+inline void expect_report_equal(const core::PartialFitReport& a,
+                                const core::PartialFitReport& b,
+                                const std::string& what) {
+  EXPECT_EQ(a.new_snapshots, b.new_snapshots) << what;
+  EXPECT_EQ(a.total_snapshots, b.total_snapshots) << what;
+  expect_bitwise_equal(a.drift_grid, b.drift_grid, what + ".drift_grid");
+  expect_bitwise_equal(a.drift_estimate, b.drift_estimate,
+                       what + ".drift_estimate");
+  EXPECT_EQ(a.drift_exceeded, b.drift_exceeded) << what;
+  EXPECT_EQ(a.recomputed, b.recomputed) << what;
+  EXPECT_EQ(a.new_nodes, b.new_nodes) << what;
+  EXPECT_EQ(a.new_grid_columns, b.new_grid_columns) << what;
+}
+
+/// Every result field of two snapshots, bitwise: all but the wall-clock
+/// times (fit_seconds, coarse_fit_seconds).
+inline void expect_snapshot_equal(const core::AssessmentSnapshot& a,
+                                  const core::AssessmentSnapshot& b) {
+  EXPECT_EQ(a.chunk_index, b.chunk_index);
+  EXPECT_EQ(a.chunk_snapshots, b.chunk_snapshots);
+  EXPECT_EQ(a.total_snapshots, b.total_snapshots);
+  ASSERT_EQ(a.reports.size(), b.reports.size());
+  for (std::size_t g = 0; g < a.reports.size(); ++g) {
+    expect_report_equal(a.reports[g], b.reports[g],
+                        "reports[" + std::to_string(g) + "]");
+  }
+  expect_bitwise_equal(a.magnitudes, b.magnitudes, "magnitudes");
+  expect_bitwise_equal(a.sensor_means, b.sensor_means, "sensor_means");
+  expect_bitwise_equal(a.zscores.zscores, b.zscores.zscores, "zscores");
+  EXPECT_EQ(a.zscores.baseline_sensors, b.zscores.baseline_sensors);
+  expect_bitwise_equal(a.zscores.baseline_mean, b.zscores.baseline_mean,
+                       "baseline_mean");
+  expect_bitwise_equal(a.zscores.baseline_stddev, b.zscores.baseline_stddev,
+                       "baseline_stddev");
+  expect_bitwise_equal(a.coarse_magnitudes, b.coarse_magnitudes,
+                       "coarse_magnitudes");
+  expect_bitwise_equal(a.coarse_zscores, b.coarse_zscores, "coarse_zscores");
+  expect_bitwise_equal(a.residual_zscores, b.residual_zscores,
+                       "residual_zscores");
+  expect_report_equal(a.coarse_report, b.coarse_report, "coarse_report");
+}
+
+inline void expect_snapshots_equal(
+    const std::vector<core::AssessmentSnapshot>& a,
+    const std::vector<core::AssessmentSnapshot>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    SCOPED_TRACE("snapshot " + std::to_string(c));
+    expect_snapshot_equal(a[c], b[c]);
+  }
 }
 
 }  // namespace imrdmd::testing
