@@ -2,11 +2,12 @@
 // every registered backend (reference / avx2 / openblas when built in)
 // times the same small-block kernels — the tall-skinny GEMM rotation, the
 // orthogonal-complement projection, the thin QR of an update panel, and
-// the dense core-matrix SVD — and is checked against the reference result
-// under the banded contract while it runs. Not a paper artifact: these
-// curves track the substrate every experiment is built from, and the
-// emitted BENCH_linalg.json records speedup_vs_reference per kernel so CI
-// can watch accelerated backends stay accelerated.
+// the SVD of the shapes the stream produces (iSVD core matrices and mrDMD
+// bins) — and is checked against the reference result under the banded
+// contract while it runs. Not a paper artifact: these curves track the
+// substrate every experiment is built from, and the emitted
+// BENCH_linalg.json records speedup_vs_reference per kernel so CI can
+// watch accelerated backends stay accelerated.
 //
 // Exit status: 0 when every backend stays inside its accuracy band;
 // nonzero on divergence (the speedups themselves are informational —
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,37 @@ linalg::Mat random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
+// The iSVD core [diag(s), k; 0, rho]: s graded over nine decades, one
+// dense appended column k, and the new column's residual norm rho.
+linalg::Mat isvd_core(std::size_t n, double rho, Rng& rng) {
+  linalg::Mat core(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    core(i, i) = std::pow(10.0, -9.0 * static_cast<double>(i) /
+                                    static_cast<double>(n - 2));
+    core(i, n - 1) = 0.3 * rng.normal();
+  }
+  core(n - 1, n - 1) = rho;
+  return core;
+}
+
+// A subsampled mrDMD bin: per-sensor level plus slow oscillations and a
+// little noise.
+linalg::Mat smooth_bin(std::size_t sensors, std::size_t snapshots, Rng& rng) {
+  linalg::Mat bin(sensors, snapshots);
+  for (std::size_t i = 0; i < sensors; ++i) {
+    const double level = 50.0 + rng.normal();
+    const double fast = rng.normal();
+    const double slow = rng.normal();
+    const double phase = rng.normal();
+    for (std::size_t t = 0; t < snapshots; ++t) {
+      const double time = static_cast<double>(t);
+      bin(i, t) = level + fast * std::sin(0.3 * time + phase) +
+                  slow * std::cos(0.05 * time) + 1e-3 * rng.normal();
+    }
+  }
+  return bin;
+}
+
 double max_rel_err(const linalg::Mat& got, const linalg::Mat& want) {
   double scale = 1.0;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -50,10 +83,40 @@ double max_rel_err(const linalg::Mat& got, const linalg::Mat& want) {
   return err;
 }
 
+// max |Q^T Q - I| over the columns whose singular value exceeds
+// 1e-10 s_max (the conformance suite's orthonormality check).
+double orthonormality_err(const linalg::Mat& q, const std::vector<double>& s) {
+  const linalg::Mat qtq = linalg::matmul_at_b(q, q);
+  const double cutoff = s.empty() ? 0.0 : 1e-10 * s.front();
+  double err = 0.0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    for (std::size_t j = 0; j < s.size(); ++j) {
+      if (!(s[i] > cutoff) || !(s[j] > cutoff)) continue;
+      err = std::max(err, std::abs(qtq(i, j) - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  return err;
+}
+
+// The conformance suite's bands (tests/linalg_backend_conformance.hpp):
+// relative error for results and reconstructions, absolute for Q^T Q.
+constexpr double kRelBand = 1e-10;
+constexpr double kOrthoBand = 1e-12;
+
 struct KernelTiming {
   std::string kernel;
   double mean_seconds = 0.0;
-  double rel_err = 0.0;  // vs the reference backend's result
+  // vs the reference result (SVD: the larger of the spectrum and the
+  // reconstruction error)
+  double rel_err = 0.0;
+  // SVD only: orthonormality of U and V
+  std::optional<double> ortho_err = std::nullopt;
+};
+
+struct SvdShape {
+  std::string kernel;
+  linalg::Mat x;
+  int iters;  // decompositions per timed run
 };
 
 struct BackendCurve {
@@ -72,21 +135,27 @@ int main(int argc, char** argv) try {
       "on iSVD small-block shapes");
 
   // The steady-state iSVD shapes: a P x r basis rotated/projected against
-  // c-column update panels, and the (r + c)-sized dense core SVD.
+  // c-column update panels. The SVDs take the shapes the stream produces:
+  // the (r+1)-sized core of a saturated 56-sensor group and of a rank-115
+  // model, and 16-snapshot mrDMD bins of one and of ten 56-sensor groups.
   const std::size_t P = args.full ? 4392 : 1000;
   const std::size_t r = 16;
   const std::size_t c = 8;
-  const std::size_t core_n = 40;
   const std::size_t repeats = std::max<std::size_t>(args.repeats, 3);
 
   Rng rng(17);
   const linalg::Mat u = linalg::thin_qr(random_matrix(P, r, rng)).q;
   const linalg::Mat rot = random_matrix(r, r + c, rng);
   const linalg::Mat panel = random_matrix(P, c, rng);
-  const linalg::Mat core = random_matrix(core_n, core_n, rng);
+  const std::vector<SvdShape> svd_shapes = {
+      {"svd_core_57x57", isvd_core(57, 0.5, rng), 5},
+      {"svd_core_116x116", isvd_core(116, 0.5, rng), 1},
+      {"svd_bin_56x15", smooth_bin(56, 15, rng), 20},
+      {"svd_bin_560x15", smooth_bin(560, 15, rng), 5}};
 
-  std::printf("shapes: P=%zu r=%zu c=%zu core=%zux%zu, repeats=%zu\n\n", P, r,
-              c, core_n, core_n, repeats);
+  std::printf("shapes: P=%zu r=%zu c=%zu, svd cores 57x57 116x116, svd bins "
+              "56x15 560x15, repeats=%zu\n\n",
+              P, r, c, repeats);
 
   // Reference results once, as the accuracy anchor for every backend.
   linalg::Backend* reference = linalg::find_backend("reference");
@@ -101,9 +170,11 @@ int main(int argc, char** argv) try {
   linalg::QrResult ref_qr;
   linalg::QrWorkspace ref_qr_ws;
   reference->thin_qr_into(panel, ref_qr, ref_qr_ws);
-  linalg::SvdResult ref_svd;
-  linalg::SvdWorkspace ref_svd_ws;
-  reference->svd_into(core, ref_svd, ref_svd_ws);
+  std::vector<linalg::SvdResult> ref_svds(svd_shapes.size());
+  for (std::size_t i = 0; i < svd_shapes.size(); ++i) {
+    linalg::SvdWorkspace ws;
+    reference->svd_into(svd_shapes[i].x, ref_svds[i], ws);
+  }
 
   std::vector<BackendCurve> curves;
   bool in_band = true;
@@ -164,14 +235,19 @@ int main(int argc, char** argv) try {
                                max_rel_err(linalg::matmul(qr.q, qr.r), panel)});
     }
 
-    // Dense SVD of the (r + c)-sized core matrix. Accuracy through the
-    // singular values (factors carry sign/rotation ambiguity).
-    {
+    // SVDs gated like the conformance suite: the spectrum against the
+    // reference, U diag(s) V^T against the input, and orthonormal factors
+    // (entrywise factors carry sign/rotation ambiguity).
+    for (std::size_t shape = 0; shape < svd_shapes.size(); ++shape) {
+      const SvdShape& svd_shape = svd_shapes[shape];
+      const linalg::SvdResult& ref_svd = ref_svds[shape];
       linalg::SvdResult svd;
       linalg::SvdWorkspace ws;
       const RunStats stats = time_repeated(
           [&](std::size_t) {
-            for (int it = 0; it < 5; ++it) backend->svd_into(core, svd, ws);
+            for (int it = 0; it < svd_shape.iters; ++it) {
+              backend->svd_into(svd_shape.x, svd, ws);
+            }
           },
           repeats, 1);
       double err = 0.0;
@@ -179,7 +255,16 @@ int main(int argc, char** argv) try {
         err = std::max(err, std::abs(svd.s[i] - ref_svd.s[i]) /
                                 (1.0 + ref_svd.s.front()));
       }
-      curve.kernels.push_back({"core_svd", stats.mean / 5.0, err});
+      linalg::Mat us = svd.u;
+      for (std::size_t j = 0; j < svd.s.size(); ++j) {
+        linalg::scale_col(us, j, svd.s[j]);
+      }
+      err = std::max(err, max_rel_err(linalg::matmul_a_bt(us, svd.v),
+                                      svd_shape.x));
+      const double ortho = std::max(orthonormality_err(svd.u, svd.s),
+                                    orthonormality_err(svd.v, svd.s));
+      curve.kernels.push_back(
+          {svd_shape.kernel, stats.mean / svd_shape.iters, err, ortho});
     }
 
     const BackendCurve* ref_curve = curves.empty() ? nullptr : &curves.front();
@@ -192,11 +277,13 @@ int main(int argc, char** argv) try {
           }
         }
       }
-      const bool ok = k.rel_err <= 1e-10;
+      const bool ok =
+          k.rel_err <= kRelBand && k.ortho_err.value_or(0.0) <= kOrthoBand;
       in_band = in_band && ok;
-      std::printf("  %-14s %9.1f us  speedup %5.2fx  rel_err %.2e %s\n",
-                  k.kernel.c_str(), k.mean_seconds * 1e6, speedup, k.rel_err,
-                  ok ? "" : "OUT OF BAND");
+      std::printf("  %-17s %9.1f us  speedup %5.2fx  rel_err %.2e",
+                  k.kernel.c_str(), k.mean_seconds * 1e6, speedup, k.rel_err);
+      if (k.ortho_err) std::printf("  ortho_err %.2e", *k.ortho_err);
+      std::printf("%s\n", ok ? "" : "  OUT OF BAND");
     }
     curves.push_back(std::move(curve));
   }
@@ -210,7 +297,6 @@ int main(int argc, char** argv) try {
   json.field("sensors", P);
   json.field("rank", r);
   json.field("panel_cols", c);
-  json.field("core_n", core_n);
   json.field("repeats", repeats);
   json.end_object();
   json.key("backends");
@@ -232,6 +318,7 @@ int main(int argc, char** argv) try {
                      ? ref_curve.kernels[i].mean_seconds / k.mean_seconds
                      : 1.0);
       json.field("rel_err_vs_reference", k.rel_err);
+      if (k.ortho_err) json.field("orthonormality_err", *k.ortho_err);
       json.end_object();
     }
     json.end_array();

@@ -10,8 +10,9 @@
 // Three backends ship in-tree:
 //   * "reference" — today's cache-blocked OpenMP kernels, bitwise-identical
 //     to the pre-seam output and always the default.
-//   * "avx2"      — hand-vectorized AVX2/FMA kernels for the small-block
-//     shapes the incremental SVD update hits. Runtime-detected: selecting
+//   * "avx2"      — hand-vectorized AVX2/FMA GEMM and Jacobi SVD kernels
+//     for the small-block shapes the incremental SVD update and the mrDMD
+//     bins hit (thin QR stays on the reference). Runtime-detected: selecting
 //     it on a CPU without AVX2+FMA silently runs the scalar reference
 //     kernels (capabilities() reports which path is live).
 //   * "openblas"  — the entry points mapped onto cblas/LAPACKE; only

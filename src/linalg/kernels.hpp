@@ -5,10 +5,10 @@
 //           "reference" backend is bitwise-identical to the library's
 //           historical output, and other backends reuse them as fallbacks
 //           for kernels they do not accelerate.
-// avx2::  — the AVX2/FMA translation unit (backend_avx2.cpp), compiled
-//           with -mavx2 -mfma when the toolchain supports it. Callers must
-//           gate on kernels_compiled() AND a runtime CPU check before
-//           invoking; see backend.cpp.
+// avx2::  — the AVX2/FMA translation unit (backend_avx2.cpp): the GEMM
+//           family and the Jacobi SVD, compiled with -mavx2 -mfma when the
+//           toolchain supports it. Callers must gate on kernels_compiled()
+//           AND a runtime CPU check before invoking; see backend.cpp.
 //
 // All kernels follow the Backend contract (backend.hpp): inputs validated,
 // GEMM outputs pre-shaped and zero-filled by the dispatcher.
@@ -40,5 +40,6 @@ void matmul_into(const Mat& a, const Mat& b, Mat& out);
 void matmul_at_b_into(const Mat& a, const Mat& b, Mat& out);
 void matmul_a_bt_into(const Mat& a, const Mat& b, Mat& out);
 void matmul_sub(const Mat& a, const Mat& b, Mat& out);
+void svd_into(const Mat& x, SvdResult& out, SvdWorkspace& ws);
 
 }  // namespace imrdmd::linalg::avx2

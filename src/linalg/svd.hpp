@@ -2,9 +2,11 @@
 //
 // Two algorithms cover the repository's needs:
 //   * svd(): one-sided Jacobi — high accuracy, O(max_dim * min_dim^2) per
-//     sweep. Every mrDMD bin is tall-and-skinny after the 4x-Nyquist
-//     subsampling (a handful of columns), so Jacobi is both simple and fast
-//     where it matters.
+//     sweep. Its hottest caller is the square (r+c) x (r+c) core matrix of
+//     every incremental SVD update (57 x 57 for a saturated 56-sensor
+//     group), ahead of the tall-and-skinny mrDMD bins (a handful of columns
+//     after the 4x-Nyquist subsampling). Small dense problems like these are
+//     where Jacobi's simplicity and accuracy pay off.
 //   * randomized_svd(): Halko-Martinsson-Tropp sketching for low-rank
 //     approximations of large matrices (used by PCA with n_components=2,
 //     mirroring scikit-learn's svd_solver='auto'->'randomized' choice).
@@ -18,8 +20,13 @@
 namespace imrdmd::linalg {
 
 /// Thin SVD: x = U diag(s) V^T with s descending, U: m x r0, V: n x r0 where
-/// r0 = min(m, n). Columns of U/V matching exactly-zero singular values are
-/// zero vectors (callers truncate via svht_rank or a tolerance).
+/// r0 = min(m, n). Columns are orthonormal wherever s is significant. For
+/// exactly-zero singular values the Jacobi backends (reference, avx2)
+/// return a zero column in the long-side factor (U when m >= n, V when
+/// m < n) and an orthonormal one in the other; openblas completes both
+/// orthonormally. Columns at rounding-noise singular values are unit but
+/// not necessarily orthogonal to the rest. Callers truncate via svht_rank
+/// or a tolerance and rely on neither.
 struct SvdResult {
   Mat u;
   std::vector<double> s;

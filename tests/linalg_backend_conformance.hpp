@@ -5,8 +5,9 @@
 // summation order. This typed suite states that contract once, over the
 // shape edge cases the dispatcher can legally hand a backend — empty /
 // single-column / odd-column shapes, tall-skinny panels, and sizes
-// straddling the OpenMP row-panel threshold — and instantiating it for a
-// new backend takes a Traits type:
+// straddling the OpenMP row-panel threshold — plus the SVD shapes the
+// stream produces (iSVD cores, mrDMD bins, exact rank loss). Instantiating
+// it for a new backend takes a Traits type:
 //
 //   struct MyBackendTraits {
 //     /// Registry name; the suite skips (not fails) when absent, so one
@@ -84,6 +85,110 @@ inline void expect_bitwise(const linalg::Mat& got, const linalg::Mat& want,
   ASSERT_EQ(got.cols(), want.cols()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got.data()[i], want.data()[i]) << what << " flat index " << i;
+  }
+}
+
+inline void expect_svd_bitwise(const linalg::SvdResult& got,
+                               const linalg::SvdResult& want) {
+  expect_bitwise(got.u, want.u, "svd u");
+  expect_bitwise(got.v, want.v, "svd v");
+  ASSERT_EQ(got.s.size(), want.s.size());
+  for (std::size_t i = 0; i < got.s.size(); ++i) {
+    EXPECT_EQ(got.s[i], want.s[i]) << "svd s[" << i << "]";
+  }
+}
+
+/// The core matrix the incremental SVD factors on every update:
+/// [diag(s), k; 0, rho] with s graded over nine decades and one dense
+/// appended column k. rho is the norm of the new column's residual; a
+/// rho near rounding level is the rank-saturated case (the basis already
+/// spans every sensor).
+inline linalg::Mat isvd_core(std::size_t n, double rho, Rng& rng) {
+  linalg::Mat core(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    core(i, i) = std::pow(10.0, -9.0 * static_cast<double>(i) /
+                                    static_cast<double>(n - 2));
+    core(i, n - 1) = 0.3 * rng.normal();
+  }
+  core(n - 1, n - 1) = rho;
+  return core;
+}
+
+/// A subsampled mrDMD bin: each of `sensors` rows is a temperature-like
+/// level plus slow oscillations and a little noise, over `snapshots`
+/// columns. Numerically low-rank, so the trailing spectrum sits near the
+/// noise.
+inline linalg::Mat smooth_bin(std::size_t sensors, std::size_t snapshots,
+                              Rng& rng) {
+  linalg::Mat bin(sensors, snapshots);
+  for (std::size_t i = 0; i < sensors; ++i) {
+    const double level = 50.0 + rng.normal();
+    const double fast = rng.normal();
+    const double slow = rng.normal();
+    const double phase = rng.normal();
+    for (std::size_t t = 0; t < snapshots; ++t) {
+      const double time = static_cast<double>(t);
+      bin(i, t) = level + fast * std::sin(0.3 * time + phase) +
+                  slow * std::cos(0.05 * time) + 1e-3 * rng.normal();
+    }
+  }
+  return bin;
+}
+
+/// Exactly rank-deficient input: column 1 duplicated into the last-but-one
+/// column, and the last column zero.
+inline linalg::Mat rank_deficient(std::size_t rows, std::size_t cols,
+                                  Rng& rng) {
+  linalg::Mat x = random_matrix(rows, cols, rng);
+  for (std::size_t i = 0; i < rows; ++i) {
+    x(i, cols - 2) = x(i, 1);
+    x(i, cols - 1) = 0.0;
+  }
+  return x;
+}
+
+struct SvdCase {
+  const char* name;
+  linalg::Mat x;
+};
+
+/// Random tall, wide, square and single-column shapes (empty is rejected
+/// at the dispatcher, so backends never see it), then the shapes the
+/// stream produces — iSVD cores and mrDMD bins — and exact rank loss.
+inline std::vector<SvdCase> svd_cases(Rng& rng) {
+  std::vector<SvdCase> cases;
+  for (const GemmShape& shape : std::vector<GemmShape>{
+           {24, 5, 0}, {5, 24, 0}, {9, 9, 0}, {17, 1, 0}, {1, 17, 0},
+           {40, 40, 0}}) {
+    cases.push_back({"random", random_matrix(shape.m, shape.k, rng)});
+  }
+  cases.push_back({"isvd core 57x57", isvd_core(57, 0.5, rng)});
+  cases.push_back(
+      {"rank-saturated isvd core 57x57", isvd_core(57, 1e-14, rng)});
+  cases.push_back({"isvd core 116x116", isvd_core(116, 0.5, rng)});
+  cases.push_back({"mrdmd bin 56x15", smooth_bin(56, 15, rng)});
+  cases.push_back({"mrdmd bin 560x15", smooth_bin(560, 15, rng)});
+  cases.push_back({"rank-deficient 30x8", rank_deficient(30, 8, rng)});
+  cases.push_back(
+      {"rank-deficient 8x30", rank_deficient(30, 8, rng).transposed()});
+  return cases;
+}
+
+/// Q^T Q = I over the columns whose singular value exceeds 1e-10 s_max.
+/// Columns at exactly-zero or rounding-noise singular values carry no
+/// orthonormality promise (see svd.hpp).
+inline void expect_orthonormal_columns(const linalg::Mat& q,
+                                       const std::vector<double>& s,
+                                       const char* what) {
+  const linalg::Mat qtq = linalg::matmul_at_b(q, q);
+  const double cutoff = s.empty() ? 0.0 : 1e-10 * s.front();
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (!(s[i] > cutoff)) continue;
+    for (std::size_t j = 0; j < s.size(); ++j) {
+      if (!(s[j] > cutoff)) continue;
+      EXPECT_NEAR(qtq(i, j), i == j ? 1.0 : 0.0, 1e-12)
+          << what << " (" << i << ", " << j << ")";
+    }
   }
 }
 
@@ -252,15 +357,13 @@ TYPED_TEST_P(LinalgBackendConformance, ThinQrFactorsAreValid) {
 TYPED_TEST_P(LinalgBackendConformance, SvdFactorsAreValid) {
   using namespace backend_conformance;
   Rng rng(48);
-  // Tall, wide, square, and single-column shapes (empty is rejected at
-  // the dispatcher, so backends never see it).
-  const std::vector<GemmShape> shapes = {
-      {24, 5, 0}, {5, 24, 0}, {9, 9, 0}, {17, 1, 0}, {1, 17, 0}, {40, 40, 0}};
-  for (const GemmShape& shape : shapes) {
-    const std::size_t m = shape.m;
-    const std::size_t n = shape.k;
+  for (const SvdCase& svd_case : svd_cases(rng)) {
+    const linalg::Mat& x = svd_case.x;
+    SCOPED_TRACE(::testing::Message()
+                 << svd_case.name << " " << x.rows() << "x" << x.cols());
+    const std::size_t m = x.rows();
+    const std::size_t n = x.cols();
     const std::size_t r0 = std::min(m, n);
-    const linalg::Mat x = random_matrix(m, n, rng);
 
     linalg::SvdResult want;
     linalg::SvdWorkspace want_ws;
@@ -269,18 +372,11 @@ TYPED_TEST_P(LinalgBackendConformance, SvdFactorsAreValid) {
     linalg::SvdWorkspace ws;
     this->backend().svd_into(x, got, ws);
 
-    if (TypeParam::kBitwise) {
-      expect_bitwise(got.u, want.u, "svd u");
-      expect_bitwise(got.v, want.v, "svd v");
-      ASSERT_EQ(got.s.size(), want.s.size());
-      for (std::size_t i = 0; i < got.s.size(); ++i) {
-        EXPECT_EQ(got.s[i], want.s[i]) << "svd s[" << i << "]";
-      }
-      continue;
-    }
-    // Accelerated banded gate: spectra agree to relative precision;
-    // factors satisfy the decomposition contract (orthonormal columns,
-    // U diag(s) V^T = X) — entrywise U/V equality is not meaningful under
+    if (TypeParam::kBitwise) expect_svd_bitwise(got, want);
+    // Every backend, the reference included, meets the decomposition
+    // contract: spectra agree with the reference to relative precision,
+    // U diag(s) V^T = X, and the factors have orthonormal columns where s
+    // is significant. Entrywise U/V equality is not meaningful under
     // sign/rotation ambiguity.
     ASSERT_EQ(got.s.size(), r0);
     ASSERT_EQ(got.u.rows(), m);
@@ -290,7 +386,9 @@ TYPED_TEST_P(LinalgBackendConformance, SvdFactorsAreValid) {
     for (std::size_t i = 0; i < r0; ++i) {
       EXPECT_NEAR(got.s[i], want.s[i], 1e-10 * (1.0 + want.s.front()))
           << "svd s[" << i << "]";
-      if (i + 1 < r0) EXPECT_GE(got.s[i], got.s[i + 1]);
+      if (i + 1 < r0) {
+        EXPECT_GE(got.s[i], got.s[i + 1]);
+      }
     }
     linalg::Mat us = got.u;
     for (std::size_t j = 0; j < r0; ++j) linalg::scale_col(us, j, got.s[j]);
@@ -303,6 +401,31 @@ TYPED_TEST_P(LinalgBackendConformance, SvdFactorsAreValid) {
       EXPECT_NEAR(recon.data()[i], x.data()[i], 1e-10 * scale)
           << "svd reconstruction flat index " << i;
     }
+    expect_orthonormal_columns(got.u, got.s, "svd U^T U");
+    expect_orthonormal_columns(got.v, got.s, "svd V^T V");
+  }
+}
+
+TYPED_TEST_P(LinalgBackendConformance, SvdWorkspaceReuseMatchesFreshWorkspace) {
+  using namespace backend_conformance;
+  Rng rng(49);
+  // Tall, wide, square, then smaller shapes, two of them with the same
+  // column count: the reused buffers keep their peak capacity and stale
+  // contents, neither of which may reach the factors.
+  const std::vector<linalg::Mat> inputs = {
+      random_matrix(40, 12, rng), random_matrix(9, 33, rng),
+      isvd_core(57, 0.5, rng),    random_matrix(6, 6, rng),
+      random_matrix(9, 6, rng),   random_matrix(3, 7, rng),
+      random_matrix(5, 2, rng)};
+  linalg::SvdResult reused;
+  linalg::SvdWorkspace ws;
+  for (const linalg::Mat& x : inputs) {
+    SCOPED_TRACE(::testing::Message() << x.rows() << "x" << x.cols());
+    this->backend().svd_into(x, reused, ws);
+    linalg::SvdResult fresh;
+    linalg::SvdWorkspace fresh_ws;
+    this->backend().svd_into(x, fresh, fresh_ws);
+    expect_svd_bitwise(reused, fresh);
   }
 }
 
@@ -310,6 +433,7 @@ REGISTER_TYPED_TEST_SUITE_P(LinalgBackendConformance,
                             ReportsNameAndCapabilities, MatmulMatchesReference,
                             MatmulAtBMatchesReference, MatmulABtMatchesReference,
                             MatmulSubMatchesReference, ProjectOutMatchesReference,
-                            ThinQrFactorsAreValid, SvdFactorsAreValid);
+                            ThinQrFactorsAreValid, SvdFactorsAreValid,
+                            SvdWorkspaceReuseMatchesFreshWorkspace);
 
 }  // namespace imrdmd::testing

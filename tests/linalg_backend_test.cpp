@@ -1,7 +1,8 @@
 // Backend seam tests: the typed conformance suite instantiated for every
-// in-tree backend, the registry / selection-precedence surface, and an
-// end-to-end gate that the accelerated backend keeps Assessor z-score
-// decisions inside the banded contract.
+// in-tree backend, the registry / selection-precedence surface, the SVD
+// kernels' non-finite input failure, and an end-to-end gate that the
+// accelerated backend keeps Assessor z-score decisions inside the banded
+// contract.
 //
 // Every test that changes the active backend restores the previous one on
 // exit (the selection is process-global), so this file composes with CI
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -141,6 +143,39 @@ void unknown_backend_name_fails_construction(std::size_t stride) {
 
 TEST(LinalgBackendConfig, UnknownBackendNameFailsConstruction) {
   for_each_stride(unknown_backend_name_fails_construction);
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite input. Both Jacobi kernels end in NumericalError instead of
+// returning NaN factors: a NaN or Inf keeps every rotation alive, and the
+// sweep cap turns that into a typed failure. openblas is left out: what it
+// does here is LAPACKE's NaN check, not this library's.
+// ---------------------------------------------------------------------------
+
+TEST(LinalgBackendSvd, JacobiKernelsThrowOnNonFiniteInput) {
+  struct Shape {
+    std::size_t rows, cols;
+  };
+  const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (const char* name : {"reference", "avx2"}) {
+    linalg::Backend* backend = linalg::find_backend(name);
+    ASSERT_NE(backend, nullptr) << name;
+    for (const Shape shape : {Shape{57, 57}, Shape{10, 6}, Shape{6, 10}}) {
+      for (const double poison : poisons) {
+        Rng rng(50);
+        linalg::Mat x =
+            backend_conformance::random_matrix(shape.rows, shape.cols, rng);
+        x(shape.rows / 2, shape.cols / 3) = poison;
+        linalg::SvdResult out;
+        linalg::SvdWorkspace ws;
+        EXPECT_THROW(backend->svd_into(x, out, ws), NumericalError)
+            << name << " " << shape.rows << "x" << shape.cols << " "
+            << poison;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
