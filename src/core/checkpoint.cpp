@@ -12,6 +12,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/thread_pool.hpp"
 
 namespace imrdmd::core {
@@ -272,21 +273,6 @@ struct ParsedCheckpoint {
 };
 
 // --- delta-container primitives ----------------------------------------
-
-constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// FNV-1a64 fold of `bytes` over a running digest — how the V3 main file
-/// fingerprints its part files so a torn or corrupted part fails the load
-/// instead of silently replaying garbage.
-std::uint64_t fnv1a64(std::uint64_t digest, const char* bytes,
-                      std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    digest ^= static_cast<unsigned char>(bytes[i]);
-    digest *= kFnvPrime;
-  }
-  return digest;
-}
 
 /// The sidecar part file of writer `writer` in epoch `epoch`:
 /// <path>.r<writer>.e<epoch>. A base rewrite bumps the epoch, so the files
@@ -889,8 +875,7 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     out.flush();
     if (!out) throw Error("delta checkpoint part write failed");
     journal.part_bytes_ = bytes.size();
-    journal.part_digest_ =
-        fnv1a64(kFnvOffsetBasis, bytes.data(), bytes.size());
+    journal.part_digest_ = fnv1a64(bytes.data(), bytes.size());
     journal.path_ = path;
     journal.epoch_ = epoch;
     journal.writers_ = writers;
@@ -917,7 +902,7 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     // tail past them is truncated away on load.
     journal.part_bytes_ += bytes.size();
     journal.part_digest_ =
-        fnv1a64(journal.part_digest_, bytes.data(), bytes.size());
+        fnv1a64(bytes.data(), bytes.size(), journal.part_digest_);
     journal.pending_.clear();
   }
 
@@ -1099,8 +1084,7 @@ RestoredAssessor CheckpointAccess::load_fleet3(
     }
     // A longer file is fine (a torn append past the manifest's bytes); a
     // digest mismatch inside them is not.
-    if (fnv1a64(kFnvOffsetBasis, data.data(), data.size()) !=
-        part_digest[w]) {
+    if (fnv1a64(data.data(), data.size()) != part_digest[w]) {
       throw ParseError("delta checkpoint part digest mismatch: " +
                        part_path(path, w, epoch));
     }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "dmd/dmd.hpp"
 #include "linalg/blas.hpp"
 
@@ -186,31 +184,6 @@ PartialFitReport IncrementalMrdmd::partial_fit(const Mat& new_cols) {
 
   report.total_snapshots = time_steps_;
   return report;
-}
-
-std::future<std::vector<MrdmdNode>> IncrementalMrdmd::recompute_stale_async()
-    const {
-  IMRDMD_REQUIRE_ARG(fitted_, "recompute_stale_async before initial_fit");
-  IMRDMD_REQUIRE_ARG(!history_.empty(),
-                     "recompute_stale_async requires keep_history");
-  // Snapshot the inputs; the background task must not touch *this.
-  auto history = std::make_shared<Mat>(history_);
-  auto root = std::make_shared<MrdmdNode>(nodes_[0]);
-  MrdmdOptions options = options_.mrdmd;
-  // The task runs on a pool worker; letting it fan bins back out onto the
-  // same pool would have a worker blocking on its own queue.
-  options.parallel_bins = false;
-
-  auto promise = std::make_shared<std::promise<std::vector<MrdmdNode>>>();
-  std::future<std::vector<MrdmdNode>> future = promise->get_future();
-  global_pool().submit([history, root, options, promise] {
-    try {
-      promise->set_value(fit_descendants(*history, *root, options));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
 }
 
 void IncrementalMrdmd::replace_descendants(std::vector<MrdmdNode> descendants) {

@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstddef>
-#include <future>
 #include <limits>
 #include <vector>
 
@@ -111,15 +110,8 @@ class IncrementalMrdmd {
 
   // --- Extensions beyond the paper (its Sec. VI future work) -------------
 
-  /// Computes the refreshed descendant nodes (levels >= 2, batch layout
-  /// against the current root) on the global thread pool — the paper's
-  /// "users could efficiently perform these updates through asynchronous
-  /// analysis". Requires keep_history. The model must not be mutated while
-  /// the future is pending; install the result with replace_descendants().
-  std::future<std::vector<MrdmdNode>> recompute_stale_async() const;
-
-  /// Replaces every non-root node with `descendants` (from
-  /// recompute_stale_async or an external refit).
+  /// Replaces every non-root node with `descendants` (levels >= 2) — how
+  /// recompute_on_drift and add_sensors install their refit from history.
   void replace_descendants(std::vector<MrdmdNode> descendants);
 
   /// Incrementally adds new sensors (paper: "extend the I-mrDMD approach to

@@ -115,75 +115,6 @@ std::vector<double> Communicator::scatterv(std::span<const double> send,
   return mine;
 }
 
-void Communicator::allreduce_sum(std::span<double> buffer) {
-  exchange(buffer, [&](const std::vector<std::vector<double>>& slots) {
-    std::fill(buffer.begin(), buffer.end(), 0.0);
-    for (const auto& slot : slots) {  // rank order: deterministic FP sums
-      IMRDMD_REQUIRE_DIMS(slot.size() == buffer.size(),
-                          "allreduce_sum buffer sizes disagree across ranks");
-      for (std::size_t i = 0; i < buffer.size(); ++i) buffer[i] += slot[i];
-    }
-  });
-  wire_bytes_ += static_cast<std::uint64_t>(size() - 1) * buffer.size() *
-                 sizeof(double);
-}
-
-void Communicator::reduce_sum(std::span<double> buffer, int root) {
-  IMRDMD_REQUIRE_ARG(root >= 0 && root < size(),
-                     "reduce_sum root out of range");
-  exchange(buffer, [&](const std::vector<std::vector<double>>& slots) {
-    for (const auto& slot : slots) {
-      IMRDMD_REQUIRE_DIMS(slot.size() == buffer.size(),
-                          "reduce_sum buffer sizes disagree across ranks");
-    }
-    if (rank_ != root) return;
-    std::fill(buffer.begin(), buffer.end(), 0.0);
-    for (const auto& slot : slots) {  // rank order: matches allreduce_sum
-      for (std::size_t i = 0; i < buffer.size(); ++i) buffer[i] += slot[i];
-    }
-  });
-  if (rank_ == root) {
-    wire_bytes_ += static_cast<std::uint64_t>(size() - 1) * buffer.size() *
-                   sizeof(double);
-  }
-}
-
-double Communicator::allreduce_min(double value) {
-  exchange(std::span<const double>(&value, 1),
-           [&](const std::vector<std::vector<double>>& slots) {
-             for (const auto& slot : slots) {
-               value = std::min(value, slot.at(0));
-             }
-           });
-  wire_bytes_ += static_cast<std::uint64_t>(size() - 1) * sizeof(double);
-  return value;
-}
-
-double Communicator::allreduce_max(double value) {
-  exchange(std::span<const double>(&value, 1),
-           [&](const std::vector<std::vector<double>>& slots) {
-             for (const auto& slot : slots) {
-               value = std::max(value, slot.at(0));
-             }
-           });
-  wire_bytes_ += static_cast<std::uint64_t>(size() - 1) * sizeof(double);
-  return value;
-}
-
-std::vector<double> Communicator::allgather(std::span<const double> local) {
-  std::vector<double> all;
-  exchange(local, [&](const std::vector<std::vector<double>>& slots) {
-    std::size_t total = 0;
-    for (const auto& slot : slots) total += slot.size();
-    all.reserve(total);
-    for (const auto& slot : slots) {
-      all.insert(all.end(), slot.begin(), slot.end());
-    }
-  });
-  wire_bytes_ += (all.size() - local.size()) * sizeof(double);
-  return all;
-}
-
 std::vector<std::vector<double>> Communicator::allgatherv(
     std::span<const double> local) {
   std::vector<std::vector<double>> all;
@@ -207,25 +138,6 @@ std::vector<std::vector<double>> Communicator::gatherv(
   for (int r = 0; r < size(); ++r) {
     if (r == rank_ || rank_ != root) continue;
     wire_bytes_ += all[static_cast<std::size_t>(r)].size() * sizeof(double);
-  }
-  return all;
-}
-
-std::vector<double> Communicator::gather(std::span<const double> local,
-                                         int root) {
-  IMRDMD_REQUIRE_ARG(root >= 0 && root < size(), "gather root out of range");
-  std::vector<double> all;
-  exchange(local, [&](const std::vector<std::vector<double>>& slots) {
-    if (rank_ != root) return;
-    std::size_t total = 0;
-    for (const auto& slot : slots) total += slot.size();
-    all.reserve(total);
-    for (const auto& slot : slots) {
-      all.insert(all.end(), slot.begin(), slot.end());
-    }
-  });
-  if (rank_ == root && all.size() >= local.size()) {
-    wire_bytes_ += (all.size() - local.size()) * sizeof(double);
   }
   return all;
 }

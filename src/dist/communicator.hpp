@@ -1,13 +1,13 @@
 // Thread-SPMD "distributed" runtime: a World of N ranks, each a thread
 // running the same function, talking through a Communicator of MPI-shaped
-// collectives (barrier, broadcast, allreduce, allgather, gather).
+// collectives (barrier, broadcast, scatterv, allgatherv, gatherv).
 //
-// The point is to exercise the *communication pattern* of the spatially
-// parallel algorithms (TSQR, DistributedIsvd, distributed_dmd) with
-// deterministic, testable semantics on one node. Every collective combines
-// contributions in rank order, so results are bitwise identical across
-// ranks and across runs — a drop-in MPI backend only has to preserve that
-// ordering contract.
+// It carries the distributed core::Assessor on one node: broadcast agrees
+// each chunk's width, scatterv ships each rank its owned rows of it,
+// allgatherv merges the per-group results, and gatherv collects checkpoint
+// sections at the root. Every collective combines contributions in rank
+// order, so results are bitwise identical across ranks and across runs — a
+// drop-in MPI backend only has to preserve that ordering contract.
 //
 // All collectives are, as in MPI, *collective*: every rank of the world
 // must call them in the same order with agreeing root arguments. Unlike
@@ -55,21 +55,6 @@ class Communicator {
   /// Replicates `buffer` from `root` to every rank (in place).
   void broadcast(std::span<double> buffer, int root);
 
-  /// Element-wise sum over ranks, result replicated in place. Contributions
-  /// are added in rank order (deterministic floating point).
-  void allreduce_sum(std::span<double> buffer);
-
-  /// Scalar min/max over ranks.
-  double allreduce_min(double value);
-  double allreduce_max(double value);
-
-  /// Concatenates every rank's contribution in rank order, replicated on
-  /// all ranks. Contributions may differ in length — but the flat result
-  /// erases the per-rank boundaries, so a caller that needs to know where
-  /// rank r's bytes start (or wants to *validate* per-rank lengths rather
-  /// than assume them uniform) must use allgatherv instead.
-  std::vector<double> allgather(std::span<const double> local);
-
   /// Ragged allgather: every rank's contribution, in rank order, with the
   /// per-rank boundaries preserved (result[r] is rank r's contribution,
   /// possibly empty). Replicated on all ranks. This is the primitive for
@@ -78,9 +63,6 @@ class Communicator {
   /// that must *check* an agreed-uniform-length contract instead of
   /// silently misparsing a flat concatenation.
   std::vector<std::vector<double>> allgatherv(std::span<const double> local);
-
-  /// Like allgather, but only `root` receives; other ranks get {}.
-  std::vector<double> gather(std::span<const double> local, int root);
 
   /// Ragged gather: only `root` receives the per-rank contributions (with
   /// boundaries preserved); other ranks get {}.
@@ -97,11 +79,6 @@ class Communicator {
   std::vector<double> scatterv(std::span<const double> send,
                                const std::vector<std::size_t>& counts,
                                int root);
-
-  /// Element-wise sum over ranks delivered to `root` only (other ranks'
-  /// buffers are left untouched). Contributions are added in rank order,
-  /// so the root's result is bitwise identical to allreduce_sum's.
-  void reduce_sum(std::span<double> buffer, int root);
 
   /// Bytes this rank has *received* from remote ranks across all
   /// collectives since construction (or the last reset). Models the wire

@@ -90,10 +90,8 @@ std::vector<Complex> fit_amplitudes(const CMat& modes,
                                     const Mat& snapshots, AmplitudeFit method);
 
 /// Amplitude fit from precomputed inner products: gram = Phi^H Phi (r x r)
-/// and proj = Phi^H X (r x T). This is the reduction-friendly form the
-/// distributed DMD uses (both products are sums over sensor rows, so ranks
-/// allreduce their local contributions and solve the identical small
-/// problem). Implements the AllSnapshots objective.
+/// and proj = Phi^H X (r x T) — the core of the AllSnapshots objective
+/// behind fit_amplitudes.
 std::vector<Complex> fit_amplitudes_from_products(
     const CMat& gram, const CMat& proj,
     const std::vector<Complex>& eigenvalues);

@@ -226,17 +226,6 @@ std::vector<double> matvec_t(const Mat& a, std::span<const double> x) {
   return y;
 }
 
-std::vector<Complex> matvec_h(const CMat& a, std::span<const Complex> x) {
-  IMRDMD_REQUIRE_DIMS(a.rows() == x.size(), "matvec_h dimension mismatch");
-  std::vector<Complex> y(a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const Complex* __restrict__ arow = a.data() + i * a.cols();
-    const Complex xi = x[i];
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += std::conj(arow[j]) * xi;
-  }
-  return y;
-}
-
 double frobenius_norm(const Mat& m) {
   double sum = 0.0;
   const double* p = m.data();

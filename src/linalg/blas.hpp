@@ -58,9 +58,8 @@ CMat matmul_ah_b(const CMat& a, const CMat& b);
 std::vector<double> matvec(const Mat& a, std::span<const double> x);
 std::vector<Complex> matvec(const CMat& a, std::span<const Complex> x);
 
-/// y = A^T * x (real) / y = A^H * x (complex).
+/// y = A^T * x.
 std::vector<double> matvec_t(const Mat& a, std::span<const double> x);
-std::vector<Complex> matvec_h(const CMat& a, std::span<const Complex> x);
 
 /// Frobenius norm.
 double frobenius_norm(const Mat& m);

@@ -1,7 +1,7 @@
 // Householder QR factorizations (real).
 //
 // Thin QR underpins the incremental SVD (orthogonalizing the out-of-subspace
-// residual of each new column block) and TSQR's per-rank local factor.
+// residual of each new column block).
 #pragma once
 
 #include "linalg/matrix.hpp"

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "net/wire.hpp"
 
 namespace imrdmd::net {
@@ -77,7 +78,8 @@ ChunkJournal::ChunkJournal(std::string path, std::size_t sensors)
     append_offset_ = header.size();
     return;
   }
-  const std::uint64_t good = scan_locked();
+  const std::uint64_t good =
+      scan_locked(static_cast<std::uint64_t>(st.st_size));
   if (good < static_cast<std::uint64_t>(st.st_size)) {
     // Torn tail from a kill mid-append: drop it so the next append starts
     // on a record boundary.
@@ -93,7 +95,7 @@ ChunkJournal::~ChunkJournal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::uint64_t ChunkJournal::scan_locked() {
+std::uint64_t ChunkJournal::scan_locked(std::uint64_t file_size) {
   std::uint8_t header[16];
   if (!pread_all(fd_, header, sizeof(header), 0, path_) ||
       std::memcmp(header, kJournalMagic, sizeof(kJournalMagic)) != 0) {
@@ -124,8 +126,14 @@ std::uint64_t ChunkJournal::scan_locked() {
     if (cols == 0) {
       throw Error("ChunkJournal: " + path_ + " holds a zero-width chunk");
     }
-    const std::uint64_t payload_bytes = sensors_ * cols * sizeof(double);
     const std::uint64_t payload_offset = at + 1 + sizeof(meta);
+    // A payload that would run past the end of the file is a torn tail,
+    // like a short read. Decide it by division, before allocating: the
+    // on-disk cols may be garbage, and sensors * cols * 8 can wrap u64.
+    const std::uint64_t room =
+        file_size > payload_offset ? file_size - payload_offset : 0;
+    if (cols > room / sizeof(double) / sensors_) return at;
+    const std::uint64_t payload_bytes = sensors_ * cols * sizeof(double);
     std::vector<std::uint8_t> payload(
         static_cast<std::size_t>(payload_bytes));
     if (!pread_all(fd_, payload.data(), payload.size(), payload_offset,

@@ -82,9 +82,10 @@ class ChunkJournal {
     std::size_t start = 0;  // cumulative snapshot offset
   };
 
-  /// Scans an existing file, rebuilding records_; returns the offset of
-  /// the first torn byte (== file size when the tail is clean).
-  std::uint64_t scan_locked();
+  /// Scans an existing file of `file_size` bytes, rebuilding records_;
+  /// returns the offset of the first torn byte (== file size when the tail
+  /// is clean).
+  std::uint64_t scan_locked(std::uint64_t file_size);
 
   mutable std::mutex mutex_;
   std::string path_;

@@ -58,11 +58,6 @@ void IngestListener::stop() {
   }
 }
 
-std::size_t IngestListener::connections_accepted() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return accepted_;
-}
-
 void IngestListener::count(const char* name, const std::string& stream,
                            double delta) {
   if (options_.metrics != nullptr) {
@@ -103,7 +98,6 @@ void IngestListener::accept_loop() {
     slot.socket = std::move(socket);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++accepted_;
       connections_.push_back(std::move(connection));
     }
     slot.thread = std::thread([this, &slot] { handle_connection(slot); });

@@ -84,9 +84,6 @@ class IngestListener {
   /// (their journals remain resumable).
   void stop();
 
-  /// Connections accepted so far (diagnostic).
-  std::size_t connections_accepted() const;
-
  private:
   /// One connection's slot: the socket stays owned here so stop() can
   /// shutdown_both() a live connection without racing the handler's own
@@ -114,12 +111,11 @@ class IngestListener {
   Listener listener_;
   std::thread acceptor_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::map<std::string, TcpChunkSource*> streams_;
   /// Hello counts per stream id — a second hello is a reconnect.
   std::map<std::string, std::size_t> hellos_;
   std::vector<std::unique_ptr<Connection>> connections_;
-  std::size_t accepted_ = 0;
 };
 
 }  // namespace imrdmd::net

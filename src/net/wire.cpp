@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/fnv.hpp"
+
 namespace imrdmd::net {
 
 namespace {
@@ -13,15 +15,6 @@ bool known_frame_type(std::uint32_t raw) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
   for (int shift = 0; shift < 32; shift += 8) {
@@ -136,8 +129,11 @@ linalg::Mat decode_chunk_payload(const std::vector<std::uint8_t>& payload) {
   }
   const std::uint64_t rows = get_u64(payload.data());
   const std::uint64_t cols = get_u64(payload.data() + 8);
-  const std::uint64_t expected = 16 + rows * cols * sizeof(double);
-  if (rows == 0 || cols == 0 || payload.size() != expected) {
+  // Divide rather than multiply: a hostile rows * cols wraps u64.
+  const std::uint64_t body = payload.size() - 16;
+  const std::uint64_t count = body / sizeof(double);
+  if (rows == 0 || cols == 0 || body % sizeof(double) != 0 ||
+      count % rows != 0 || count / rows != cols) {
     throw ProtocolError("IMRDWP1: chunk shape disagrees with payload size");
   }
   return get_matrix(payload.data() + 16, static_cast<std::size_t>(rows),

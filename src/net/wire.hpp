@@ -107,11 +107,6 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// FNV-1a 64-bit digest of a byte buffer — the frame and journal payload
-/// checksum (fast, dependency-free, and plenty for fault *detection*; this
-/// is not a cryptographic seal).
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
-
 /// --- Little-endian scalar packing (shared with the journal) -------------
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value);
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value);

@@ -97,11 +97,6 @@ double MetricsRegistry::value(const std::string& name,
   return series == family->second.series.end() ? 0.0 : series->second;
 }
 
-std::size_t MetricsRegistry::family_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return families_.size();
-}
-
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   families_.clear();

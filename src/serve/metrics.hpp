@@ -47,9 +47,6 @@ class MetricsRegistry {
   /// (reading a series never creates it).
   double value(const std::string& name, const MetricLabels& labels) const;
 
-  /// Number of registered families.
-  std::size_t family_count() const;
-
   /// Drops every family and series (a fresh registry).
   void clear();
 

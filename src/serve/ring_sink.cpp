@@ -51,9 +51,4 @@ std::size_t RingBufferSink::evicted() const {
   return evicted_;
 }
 
-std::vector<double> rack_view_values(
-    const core::AssessmentSnapshot& snapshot) {
-  return snapshot.zscores.zscores;
-}
-
 }  // namespace imrdmd::serve

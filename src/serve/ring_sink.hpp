@@ -1,9 +1,9 @@
 // RingBufferSink: bounded window of the most recent snapshots, safe to
 // poll from any thread — the live-dashboard sink of the serving layer. A
-// renderer (e.g. src/rack's ANSI/SVG rack views, via rack_view_values
-// below) polls window()/latest() while a run or an AsyncSink worker keeps
-// delivering; old snapshots are evicted FIFO once the ring is full, and
-// evicted() counts them, so a slow poller sees a gap, never a stall.
+// renderer (e.g. src/rack's ANSI/SVG rack views) polls window()/latest()
+// while a run or an AsyncSink worker keeps delivering; old snapshots are
+// evicted FIFO once the ring is full, and evicted() counts them, so a slow
+// poller sees a gap, never a stall.
 #pragma once
 
 #include <cstddef>
@@ -45,11 +45,5 @@ class RingBufferSink final : public core::SnapshotSink {
   std::size_t delivered_ = 0;
   std::size_t evicted_ = 0;
 };
-
-/// Extracts a snapshot's reconciled per-sensor z-scores as the value vector
-/// a rack::RackViewData wants (values[i] = z of sensor i), so a serving
-/// dashboard can hand RingBufferSink::latest() straight to the rack
-/// renderer.
-std::vector<double> rack_view_values(const core::AssessmentSnapshot& snapshot);
 
 }  // namespace imrdmd::serve

@@ -1,6 +1,6 @@
 // Final coverage pass: paths not exercised elsewhere — spectrum power
 // filtering, the engine's baseline-pinning mode, checkpoint-after-extension,
-// chunked wide updates of the distributed iSVD, and renderer options.
+// and renderer options.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,9 +8,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/assessor.hpp"
-#include "dist/communicator.hpp"
 #include "dmd/spectrum.hpp"
-#include "isvd/distributed_isvd.hpp"
 #include "linalg/blas.hpp"
 #include "rack/render.hpp"
 #include "test_util.hpp"
@@ -20,7 +18,6 @@ namespace {
 
 using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
-using imrdmd::testing::random_matrix;
 using linalg::Complex;
 using linalg::Mat;
 
@@ -109,41 +106,11 @@ TEST(Checkpoint, SurvivesSensorAdditionAndKeepsHistory) {
   EXPECT_EQ(imrdmd::testing::max_abs_diff(model.reconstruct(),
                                           restored.reconstruct()),
             0.0);
-  // History survived: the restored model can still recompute stale levels.
-  auto future = restored.recompute_stale_async();
-  EXPECT_NO_THROW(restored.replace_descendants(future.get()));
-}
-
-TEST(DistributedIsvd, WideUpdateChunksCollectively) {
-  // New column blocks wider than any rank's row count must be folded in by
-  // the collective chunking path and still match the serial result.
-  const int ranks = 3;
-  const std::size_t rows_per_rank = 6;  // 18 global rows
-  const std::size_t p = rows_per_rank * ranks;
-  Rng rng(4);
-  const Mat first = random_matrix(p, 4, rng);
-  const Mat wide = random_matrix(p, 15, rng);  // 15 > 6 local rows
-
-  isvd::Isvd serial;
-  serial.initialize(first);
-  serial.update(wide);
-
-  std::vector<std::vector<double>> spectra(ranks);
-  dist::World world(ranks);
-  world.run([&](dist::Communicator& comm) {
-    const std::size_t r0 =
-        static_cast<std::size_t>(comm.rank()) * rows_per_rank;
-    isvd::DistributedIsvd disvd(comm);
-    disvd.initialize(first.block(r0, 0, rows_per_rank, 4));
-    disvd.update(wide.block(r0, 0, rows_per_rank, 15));
-    spectra[static_cast<std::size_t>(comm.rank())] = disvd.s();
-  });
-  for (const auto& s : spectra) {
-    ASSERT_EQ(s.size(), serial.s().size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      EXPECT_NEAR(s[i], serial.s()[i], 1e-9 * (serial.s()[0] + 1.0));
-    }
-  }
+  // History survived: resaving the restored model, history section
+  // included, reproduces the checkpoint byte for byte.
+  std::stringstream resaved;
+  core::save_checkpoint(resaved, restored);
+  EXPECT_EQ(resaved.str(), buffer.str());
 }
 
 TEST(Render, CustomValueRangeAndNoLegend) {

@@ -1,25 +1,19 @@
-// Tests for the thread-SPMD communicator and TSQR.
+// Tests for the thread-SPMD World and the five Communicator collectives
+// the distributed Assessor runs on: barrier, broadcast, scatterv,
+// allgatherv and gatherv, plus rank-failure poisoning.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "dist/communicator.hpp"
-#include "isvd/tsqr.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/qr.hpp"
-#include "test_util.hpp"
 
 namespace imrdmd {
 namespace {
-
-using imrdmd::testing::max_abs_diff;
-using imrdmd::testing::orthogonality_defect;
-using imrdmd::testing::random_matrix;
-using linalg::Mat;
 
 TEST(World, RunsOneFunctionPerRank) {
   dist::World world(4);
@@ -45,7 +39,7 @@ TEST(World, RejectsZeroRanks) {
 
 TEST(World, RankFailureBetweenCollectivesPoisonsPeersInsteadOfDeadlocking) {
   // Regression: rank 2 throws between collectives while its peers block
-  // inside allreduce; before poisoning, the peers waited forever on a
+  // inside allgatherv; before poisoning, the peers waited forever on a
   // barrier rank 2 would never enter and join() deadlocked. This test must
   // complete (no timeout) and surface the original exception, not the
   // secondary CollectiveAborted unwinds.
@@ -54,8 +48,10 @@ TEST(World, RankFailureBetweenCollectivesPoisonsPeersInsteadOfDeadlocking) {
     world.run([](dist::Communicator& comm) {
       comm.barrier();  // align all ranks once
       if (comm.rank() == 2) throw std::runtime_error("rank 2 died");
-      std::vector<double> buffer{1.0};
-      comm.allreduce_sum(std::span<double>(buffer.data(), 1));
+      const std::vector<double> mine{1.0};
+      double sum = 0.0;
+      for (const auto& slot : comm.allgatherv(mine)) sum += slot.at(0);
+      EXPECT_EQ(sum, 4.0);  // unreachable unless the collective ran short
       // A rank that catches the poison must keep failing on further
       // collectives, never resynchronize into a half-dead world.
       comm.barrier();
@@ -135,47 +131,12 @@ TEST(Communicator, BroadcastReplicatesRoot) {
   });
 }
 
-TEST(Communicator, AllreduceSumAddsContributions) {
-  dist::World world(4);
-  world.run([&](dist::Communicator& comm) {
-    std::vector<double> buffer{static_cast<double>(comm.rank()), 1.0};
-    comm.allreduce_sum(std::span<double>(buffer.data(), 2));
-    EXPECT_EQ(buffer[0], 0.0 + 1.0 + 2.0 + 3.0);
-    EXPECT_EQ(buffer[1], 4.0);
-  });
-}
-
-TEST(Communicator, AllreduceMinMax) {
-  dist::World world(5);
-  world.run([&](dist::Communicator& comm) {
-    const double r = static_cast<double>(comm.rank());
-    EXPECT_EQ(comm.allreduce_max(r), 4.0);
-    EXPECT_EQ(comm.allreduce_min(r), 0.0);
-  });
-}
-
-TEST(Communicator, AllgatherConcatenatesInRankOrder) {
-  dist::World world(3);
-  world.run([&](dist::Communicator& comm) {
-    // Variable-length contributions: rank r contributes r+1 values.
-    std::vector<double> local(comm.rank() + 1,
-                              static_cast<double>(comm.rank()));
-    const auto all =
-        comm.allgather(std::span<const double>(local.data(), local.size()));
-    ASSERT_EQ(all.size(), 1u + 2u + 3u);
-    EXPECT_EQ(all[0], 0.0);
-    EXPECT_EQ(all[1], 1.0);
-    EXPECT_EQ(all[2], 1.0);
-    EXPECT_EQ(all[5], 2.0);
-  });
-}
-
 TEST(Communicator, AllgathervPreservesRankBoundaries) {
-  // The flat allgather erases where one rank's contribution ends and the
-  // next begins — for legitimately ragged payloads (and for callers that
-  // must VALIDATE an assumed-uniform length) allgatherv keeps the per-rank
-  // structure. Rank r contributes r values here, including the empty
-  // contribution from rank 0.
+  // Legitimately ragged payloads (and callers that must VALIDATE an
+  // assumed-uniform length) need to know where one rank's contribution
+  // ends and the next begins: allgatherv keeps the per-rank structure.
+  // Rank r contributes r values here, including the empty contribution
+  // from rank 0.
   dist::World world(4);
   world.run([&](dist::Communicator& comm) {
     std::vector<double> local(static_cast<std::size_t>(comm.rank()),
@@ -212,97 +173,54 @@ TEST(Communicator, GathervOnlyRootReceivesWithBoundaries) {
   });
 }
 
-TEST(Communicator, GatherOnlyRootReceives) {
-  dist::World world(3);
-  world.run([&](dist::Communicator& comm) {
-    std::vector<double> local{static_cast<double>(comm.rank())};
-    const auto gathered =
-        comm.gather(std::span<const double>(local.data(), 1), 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(gathered.size(), 3u);
-      EXPECT_EQ(gathered[2], 2.0);
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-  });
-}
-
 TEST(Communicator, RepeatedCollectivesStayConsistent) {
   dist::World world(4);
   world.run([&](dist::Communicator& comm) {
     for (int round = 0; round < 50; ++round) {
-      std::vector<double> buffer{static_cast<double>(comm.rank() + round)};
-      comm.allreduce_sum(std::span<double>(buffer.data(), 1));
-      EXPECT_EQ(buffer[0], 6.0 + 4.0 * round);
+      const std::vector<double> mine{static_cast<double>(comm.rank() + round)};
+      double sum = 0.0;
+      for (const auto& slot : comm.allgatherv(mine)) sum += slot.at(0);
+      EXPECT_EQ(sum, 6.0 + 4.0 * round);
     }
   });
 }
 
-// TSQR: factor a tall matrix partitioned across ranks, compare with the
-// serial QR of the stacked matrix.
-class TsqrRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(TsqrRanks, MatchesSerialQr) {
-  const int ranks = GetParam();
-  const std::size_t rows_per_rank = 16;
-  const std::size_t cols = 5;
-  Rng rng(static_cast<std::uint64_t>(100 + ranks));
-  const Mat full = random_matrix(rows_per_rank * ranks, cols, rng);
-
-  const Mat serial_r = linalg::qr_r_only(full);
-
-  std::vector<Mat> q_blocks(static_cast<std::size_t>(ranks));
-  std::vector<Mat> r_results(static_cast<std::size_t>(ranks));
-  dist::World world(ranks);
+TEST(Communicator, ScattervSlicesAndCountDisagreementFailsEveryRank) {
+  // scatterv is the engine's ingest collective: the root's buffer is the
+  // rank-order concatenation of the slices, and each non-root pays wire
+  // bytes for its own slice only (an empty slice costs nothing).
+  const std::vector<std::size_t> counts{2, 0, 3, 1};
+  const std::vector<std::vector<double>> want{{0, 1}, {}, {2, 3, 4}, {5}};
+  dist::World world(4);
   world.run([&](dist::Communicator& comm) {
-    const Mat local = full.block(
-        static_cast<std::size_t>(comm.rank()) * rows_per_rank, 0,
-        rows_per_rank, cols);
-    const isvd::TsqrResult result = isvd::tsqr(comm, local);
-    q_blocks[static_cast<std::size_t>(comm.rank())] = result.q_local;
-    r_results[static_cast<std::size_t>(comm.rank())] = result.r;
+    const std::vector<double> send{0, 1, 2, 3, 4, 5};
+    const std::vector<double> mine = comm.scatterv(
+        comm.rank() == 1 ? send : std::vector<double>{}, counts, 1);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    EXPECT_EQ(mine, want[r]) << "rank " << r;
+    const std::uint64_t slice_bytes =
+        comm.rank() == 1 ? 0 : counts[r] * sizeof(double);
+    EXPECT_EQ(comm.wire_bytes(), slice_bytes) << "rank " << r;
   });
 
-  // R replicated and equal to the serial factor (same sign convention).
-  for (int r = 0; r < ranks; ++r) {
-    EXPECT_LT(max_abs_diff(r_results[static_cast<std::size_t>(r)], serial_r),
-              1e-10);
-  }
-  // Stacked Q reconstructs the input and is orthonormal.
-  Mat q(full.rows(), cols);
-  for (int r = 0; r < ranks; ++r) {
-    q.set_block(static_cast<std::size_t>(r) * rows_per_rank, 0,
-                q_blocks[static_cast<std::size_t>(r)]);
-  }
-  EXPECT_LT(max_abs_diff(linalg::matmul(q, serial_r), full), 1e-10);
-  EXPECT_LT(orthogonality_defect(q), 1e-10);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, TsqrRanks, ::testing::Values(1, 2, 3, 4, 7));
-
-TEST(TsqrRaggedAudit, ColumnCountDisagreementFailsEveryRankWithoutDeadlock) {
-  // Regression for the uniform-length allgather assumption: tsqr gathers
-  // the per-rank R factors and used to validate only the flat TOTAL
-  // length, so a rank disagreeing on the column count relied on the
-  // lengths not conspiring to match. With allgatherv each rank's block is
-  // checked individually — every rank must unwind with DimensionError
-  // (identical validation on identical slots) and the run must complete
-  // rather than deadlock.
-  dist::World world(3);
+  // One rank disagreeing on the counts (same total, different split) makes
+  // every rank throw DimensionError together instead of one rank
+  // misparsing the root's payload while its peers wait on it.
   std::atomic<int> failures{0};
   EXPECT_THROW(world.run([&](dist::Communicator& comm) {
-                 Rng rng(static_cast<std::uint64_t>(300 + comm.rank()));
-                 const std::size_t cols = comm.rank() == 1 ? 3 : 4;
-                 const Mat local = random_matrix(16, cols, rng);
+                 const std::vector<double> send{0, 1, 2, 3, 4, 5};
+                 const std::vector<std::size_t> skewed{2, 3, 0, 1};
                  try {
-                   isvd::tsqr(comm, local);
+                   comm.scatterv(comm.rank() == 1 ? send
+                                                  : std::vector<double>{},
+                                 comm.rank() == 2 ? skewed : counts, 1);
                  } catch (const DimensionError&) {
                    failures.fetch_add(1);
                    throw;
                  }
                }),
                DimensionError);
-  EXPECT_EQ(failures.load(), 3);
+  EXPECT_EQ(failures.load(), 4);
 }
 
 }  // namespace

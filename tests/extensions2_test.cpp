@@ -1,6 +1,5 @@
-// Tests for the future-work extensions: checkpointing, asynchronous
-// stale-level recomputation, incremental sensor addition, and the
-// distributed (row-partitioned) DMD.
+// Tests for the future-work extensions: checkpointing, descendant
+// replacement and incremental sensor addition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +10,6 @@
 
 #include "core/checkpoint.hpp"
 #include "core/imrdmd.hpp"
-#include "dist/communicator.hpp"
-#include "dmd/distributed_dmd.hpp"
 #include "linalg/blas.hpp"
 #include "test_util.hpp"
 
@@ -188,42 +185,6 @@ TEST(Checkpoint, UnfittedModelRejected) {
   EXPECT_THROW(core::save_checkpoint(buffer, model), InvalidArgument);
 }
 
-TEST(AsyncRecompute, MatchesSynchronousRefit) {
-  Rng rng(4);
-  const Mat data = planted_multiscale(10, 1024, 0.02, rng);
-  core::ImrdmdOptions options = small_options();
-  options.keep_history = true;
-  core::IncrementalMrdmd model(options);
-  model.initial_fit(data.block(0, 0, 10, 512));
-  model.partial_fit(data.block(0, 512, 10, 512));
-
-  auto future = model.recompute_stale_async();
-  std::vector<core::MrdmdNode> fresh = future.get();
-  ASSERT_FALSE(fresh.empty());
-  model.replace_descendants(std::move(fresh));
-
-  // Same layout as a recompute_on_drift run.
-  core::ImrdmdOptions sync_options = options;
-  sync_options.recompute_on_drift = true;
-  sync_options.drift_threshold = 0.0;
-  core::IncrementalMrdmd sync_model(sync_options);
-  sync_model.initial_fit(data.block(0, 0, 10, 512));
-  sync_model.partial_fit(data.block(0, 512, 10, 512));
-
-  ASSERT_EQ(model.nodes().size(), sync_model.nodes().size());
-  EXPECT_LT(linalg::frobenius_diff(model.reconstruct(),
-                                   sync_model.reconstruct()),
-            1e-8 * (linalg::frobenius_norm(data) + 1.0));
-}
-
-TEST(AsyncRecompute, RequiresHistory) {
-  Rng rng(5);
-  const Mat data = planted_multiscale(6, 256, 0.02, rng);
-  core::IncrementalMrdmd model(small_options());  // keep_history = false
-  model.initial_fit(data);
-  EXPECT_THROW(model.recompute_stale_async(), InvalidArgument);
-}
-
 TEST(ReplaceDescendants, ValidatesInput) {
   Rng rng(6);
   const Mat data = planted_multiscale(6, 256, 0.02, rng);
@@ -274,75 +235,6 @@ TEST(AddSensors, ValidatesArguments) {
   model.initial_fit(data);
   EXPECT_THROW(model.add_sensors(Mat(2, 100)), DimensionError);  // short
 }
-
-class DistributedDmdRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistributedDmdRanks, MatchesSerialDmd) {
-  const int ranks = GetParam();
-  const std::size_t rows_per_rank = 24;
-  const std::size_t p = rows_per_rank * static_cast<std::size_t>(ranks);
-  // LTI data so the serial spectrum is clean.
-  Rng rng(static_cast<std::uint64_t>(700 + ranks));
-  Mat data(p, 60);
-  {
-    const linalg::Complex lambda =
-        0.98 * std::exp(linalg::Complex(0, 0.4));
-    std::vector<linalg::Complex> v(p);
-    for (auto& value : v) value = {rng.normal(), rng.normal()};
-    for (std::size_t t = 0; t < 60; ++t) {
-      const linalg::Complex scale =
-          std::pow(lambda, static_cast<double>(t));
-      for (std::size_t i = 0; i < p; ++i) {
-        data(i, t) = (scale * v[i]).real() * 2.0;
-      }
-    }
-  }
-  const dmd::DmdResult serial = dmd::dmd(data, 1.0);
-
-  std::vector<dmd::DistributedDmdResult> results(
-      static_cast<std::size_t>(ranks));
-  dist::World world(ranks);
-  world.run([&](dist::Communicator& comm) {
-    const std::size_t r0 =
-        static_cast<std::size_t>(comm.rank()) * rows_per_rank;
-    results[static_cast<std::size_t>(comm.rank())] = dmd::distributed_dmd(
-        comm, data.block(r0, 0, rows_per_rank, 60), 1.0);
-  });
-
-  // Eigenvalues replicated and equal to serial (order-insensitive match).
-  for (const auto& result : results) {
-    ASSERT_EQ(result.mode_count(), serial.mode_count());
-    for (const auto& want : serial.eigenvalues) {
-      double best = 1e300;
-      for (const auto& got : result.eigenvalues) {
-        best = std::min(best, std::abs(got - want));
-      }
-      EXPECT_LT(best, 1e-8);
-    }
-  }
-  // Stacked local reconstructions reproduce the data.
-  Mat recon(p, 60);
-  for (int r = 0; r < ranks; ++r) {
-    const auto& result = results[static_cast<std::size_t>(r)];
-    // x(t) = Re(Phi_local diag(lambda^t) b).
-    for (std::size_t t = 0; t < 60; ++t) {
-      for (std::size_t i = 0; i < rows_per_rank; ++i) {
-        linalg::Complex sum{};
-        for (std::size_t m = 0; m < result.mode_count(); ++m) {
-          sum += result.modes_local(i, m) * result.amplitudes[m] *
-                 std::pow(result.eigenvalues[m], static_cast<double>(t));
-        }
-        recon(static_cast<std::size_t>(r) * rows_per_rank + i, t) =
-            sum.real();
-      }
-    }
-  }
-  EXPECT_LT(linalg::frobenius_diff(recon, data),
-            1e-6 * linalg::frobenius_norm(data));
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, DistributedDmdRanks,
-                         ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace imrdmd

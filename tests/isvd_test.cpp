@@ -1,10 +1,8 @@
-// Tests for the serial and distributed incremental SVD.
+// Tests for the incremental SVD.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "dist/communicator.hpp"
-#include "isvd/distributed_isvd.hpp"
 #include "isvd/isvd.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/svd.hpp"
@@ -189,61 +187,6 @@ TEST_P(IsvdChunking, MatchesBatchForAnyChunkSize) {
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, IsvdChunking,
                          ::testing::Values(1, 2, 3, 5, 10, 15));
-
-// Distributed iSVD against the serial one.
-class DistributedIsvdRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistributedIsvdRanks, MatchesSerialIsvd) {
-  const int ranks = GetParam();
-  const std::size_t rows_per_rank = 12;
-  const std::size_t p = rows_per_rank * static_cast<std::size_t>(ranks);
-  Rng rng(static_cast<std::uint64_t>(500 + ranks));
-  const Mat first = random_matrix(p, 6, rng);
-  const Mat second = random_matrix(p, 4, rng);
-
-  Isvd serial;
-  serial.initialize(first);
-  serial.update(second);
-
-  std::vector<Mat> u_blocks(static_cast<std::size_t>(ranks));
-  std::vector<std::vector<double>> s_results(static_cast<std::size_t>(ranks));
-  dist::World world(ranks);
-  world.run([&](dist::Communicator& comm) {
-    const std::size_t r0 =
-        static_cast<std::size_t>(comm.rank()) * rows_per_rank;
-    DistributedIsvd disvd(comm);
-    disvd.initialize(first.block(r0, 0, rows_per_rank, 6));
-    disvd.update(second.block(r0, 0, rows_per_rank, 4));
-    u_blocks[static_cast<std::size_t>(comm.rank())] = disvd.u_local();
-    s_results[static_cast<std::size_t>(comm.rank())] = disvd.s();
-  });
-
-  // Singular values replicated and equal to serial.
-  for (int r = 0; r < ranks; ++r) {
-    const auto& s = s_results[static_cast<std::size_t>(r)];
-    ASSERT_EQ(s.size(), serial.s().size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      EXPECT_NEAR(s[i], serial.s()[i], 1e-9 * (serial.s()[0] + 1.0));
-    }
-  }
-  // Stacked U spans the same subspace: compare projector rows against the
-  // serial reconstruction of the concatenated data.
-  Mat u(p, s_results[0].size());
-  for (int r = 0; r < ranks; ++r) {
-    u.set_block(static_cast<std::size_t>(r) * rows_per_rank, 0,
-                u_blocks[static_cast<std::size_t>(r)]);
-  }
-  EXPECT_LT(orthogonality_defect(u), 1e-9);
-  // || (I - U U^T) X || should be ~0 because X lies in the span.
-  Mat full(p, 10);
-  full.set_block(0, 0, first);
-  full.set_block(0, 6, second);
-  const Mat proj = linalg::matmul(u, linalg::matmul_at_b(u, full));
-  EXPECT_LT(max_abs_diff(proj, full), 1e-8);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, DistributedIsvdRanks,
-                         ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace imrdmd::isvd

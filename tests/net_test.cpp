@@ -28,6 +28,7 @@
 
 #include "chunk_source_conformance.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "core/assessor.hpp"
 #include "core/checkpoint.hpp"
@@ -178,7 +179,7 @@ TEST(NetWire, MalformedPeersAreRejectedTyped) {
     std::vector<std::uint8_t> header;
     net::put_u32(header, static_cast<std::uint32_t>(FrameType::Chunk));
     net::put_u64(header, 1);
-    net::put_u64(header, net::fnv1a64(payload.data(), payload.size()));
+    net::put_u64(header, fnv1a64(payload.data(), payload.size()));
     net::put_u64(header, payload.size());
     payload[2] ^= 0xFF;  // damage after digesting
     a.send_all(header.data(), header.size());
@@ -191,7 +192,7 @@ TEST(NetWire, MalformedPeersAreRejectedTyped) {
     std::vector<std::uint8_t> header;
     net::put_u32(header, 999);
     net::put_u64(header, 0);
-    net::put_u64(header, net::fnv1a64(nullptr, 0));
+    net::put_u64(header, fnv1a64(nullptr, 0));
     net::put_u64(header, 0);
     a.send_all(header.data(), header.size());
     EXPECT_THROW(net::recv_frame(b), ProtocolError);
@@ -206,6 +207,17 @@ TEST(NetWire, MalformedPeersAreRejectedTyped) {
     net::put_u64(header, net::kMaxFramePayload + 1);
     a.send_all(header.data(), header.size());
     EXPECT_THROW(net::recv_frame(b), ProtocolError);
+  }
+  for (const std::uint64_t cols :
+       {std::uint64_t{1} << 61, std::uint64_t{1} << 58}) {
+    // 56 rows of either width need 56 * cols * 8 bytes, which wraps u64
+    // to 0 and so matches the empty body. rows * cols itself wraps to 0
+    // at 2^61 and to a count no vector can hold at 2^58; both must be the
+    // typed ProtocolError the listener answers with an Error frame.
+    std::vector<std::uint8_t> payload;
+    net::put_u64(payload, 56);
+    net::put_u64(payload, cols);
+    EXPECT_THROW(net::decode_chunk_payload(payload), ProtocolError);
   }
   {
     // A peer hanging up mid-frame is ConnectionClosed, not garbage.
@@ -300,6 +312,31 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
     ASSERT_EQ(::pwrite(fd, &evil, 1, 40), 1);
     ::close(fd);
     EXPECT_THROW(ChunkJournal(path, 4), Error);
+    std::remove(path.c_str());
+  }
+  for (const std::uint64_t cols :
+       {std::uint64_t{1} << 50, std::uint64_t{1} << 59}) {
+    // A garbage width whose payload would run past the end of the file is
+    // a torn tail, decided before allocating: 2^50 columns must not
+    // allocate, and 2^59 columns of 4 sensors (2^64 bytes) must not wrap
+    // to an empty payload.
+    const std::string path = fresh_journal_path("oversize");
+    {
+      ChunkJournal journal(path, 4);
+      journal.append(data.block(0, 0, 4, 4));
+      journal.append(data.block(0, 4, 4, 4));
+    }
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    // File header 16 bytes + first record 17 + 128 = 161: the second
+    // record's kind byte, then its u64 cols.
+    std::vector<std::uint8_t> width;
+    net::put_u64(width, cols);
+    ASSERT_EQ(::pwrite(fd, width.data(), width.size(), 162), 8);
+    ::close(fd);
+    ChunkJournal journal(path, 4);
+    EXPECT_EQ(journal.chunks(), 1u);
+    expect_mat_bitwise(journal.read_chunk(0), data.block(0, 0, 4, 4));
     std::remove(path.c_str());
   }
 }
