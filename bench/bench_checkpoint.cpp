@@ -148,11 +148,11 @@ int main(int argc, char** argv) try {
   std::printf("\nresave byte-identical: %s\n",
               resave_identical ? "yes" : "NO");
 
-  // Delta curve: per-checkpoint save cost as the stream grows, full
-  // container (IMRDFL1, re-serializes every model each time) vs the
-  // rank-local delta container (IMRDFL3, appends the chunk's raw rows to
-  // an epoch-named part). The delta's append cost — time and bytes — must
-  // stay flat at O(chunk) while the full save scales with the model state.
+  // Delta curve: per-checkpoint save cost as the stream grows, full save
+  // (re-serializes every model each time) vs the rank-local delta save
+  // (appends the chunk's raw rows to an epoch-named part). The delta's
+  // append cost — time and bytes — must stay flat at O(chunk) while the
+  // full save scales with the model state.
   std::printf("\nper-checkpoint save cost, full vs delta container:\n");
   const std::size_t delta_chunks = args.full ? 10 : 6;
   const std::size_t delta_groups = 8;

@@ -1,5 +1,5 @@
 // FNV-1a 64-bit digest: the checksum of IMRDWP1 frame payloads, IMRDJL1
-// journal records and IMRDFL3 checkpoint part files. Fast, dependency-free
+// journal records and delta checkpoint part files. Fast, dependency-free
 // and plenty for fault *detection*; it is not a cryptographic seal.
 #pragma once
 

@@ -138,13 +138,14 @@ struct CheckpointPolicy {
   std::size_t every_n = 0;
   /// Target file, atomically replaced on each write.
   std::string path;
-  /// True selects the rank-local delta container ("IMRDFL3"): each process
-  /// appends the raw rows it ingested since the last save to its own
-  /// sidecar part file (<path>.r<rank>.e<epoch>) instead of gathering every
-  /// model's bytes to rank 0, so the save cost is O(rows since last save),
+  /// True selects the rank-local delta save of the checkpoint container
+  /// (core/checkpoint.hpp): each process appends the raw rows it ingested
+  /// since the last save to its own sidecar part file
+  /// (<path>.r<rank>.e<epoch>) instead of gathering every model's bytes to
+  /// rank 0, so the save cost is O(rows since last save),
   /// not O(model history). The engine then journals each processed chunk's
   /// owned raw rows in memory between saves — bounded by every_n chunks
-  /// when the periodic hook is armed. Off by default (the full container).
+  /// when the periodic hook is armed. Off by default (the full save).
   bool delta = false;
 
   CheckpointPolicy& with_delta(bool enabled) {

@@ -20,24 +20,20 @@ namespace imrdmd::core {
 namespace {
 
 constexpr char kMagic[8] = {'I', 'M', 'R', 'D', 'M', 'D', '1', '\n'};
-constexpr char kPipelineMagic[8] = {'I', 'M', 'R', 'D', 'P', 'L', '1', '\n'};
-constexpr char kFleetMagic[8] = {'I', 'M', 'R', 'D', 'F', 'L', '1', '\n'};
-// V2 = V1 plus a hierarchy section (coarse stride + one coarse-model
-// section) between the group partition and the per-group model sections.
-// Written only by hierarchical engines, so every flat save stays
-// byte-identical to the V1 generation.
-constexpr char kFleetMagic2[8] = {'I', 'M', 'R', 'D', 'F', 'L', '2', '\n'};
-// V3 = the rank-local delta container (CheckpointPolicy::delta): the main
-// file holds only the header, partition, hierarchy map, and a manifest of
-// per-writer part files (<path>.r<writer>.e<epoch>) that each hold one
-// process's model sections (the base) plus the raw rows of every chunk
-// processed since (the deltas). Saving appends O(chunk) bytes per rank
-// instead of gathering O(model history) to rank 0; loading replays the
-// deltas through the restored base. The main file is atomically rewritten
-// on every save and references its parts by exact byte count and digest,
-// so a torn append is truncated away and a crash between a base rewrite
-// and the main rewrite leaves the previous epoch's files authoritative.
-constexpr char kFleetMagic3[8] = {'I', 'M', 'R', 'D', 'F', 'L', '3', '\n'};
+// The engine container, one for every topology and both storages: the
+// preamble (stage header, partition, coarse stride and, when hierarchical,
+// the explicit coarse grid and interpolation map), then a writer count W.
+// W = 0 is the full save: the section list follows inline. W >= 1 is the
+// delta save: a manifest of W per-writer part files
+// (<path>.r<writer>.e<epoch>), each holding one process's section list (the
+// base) plus the raw rows of every chunk processed since (the deltas).
+// Saving appends O(chunk) bytes per rank instead of gathering O(model
+// history) to rank 0; loading replays the deltas through the restored base.
+// The main file is atomically rewritten on every save and references its
+// parts by exact byte count and digest, so a torn append is truncated away
+// and a crash between a base rewrite and the main rewrite leaves the
+// previous epoch's files authoritative.
+constexpr char kEngineMagic[8] = {'I', 'M', 'R', 'D', 'F', 'L', '4', '\n'};
 constexpr char kPartMagic[8] = {'I', 'M', 'R', 'D', 'P', 'T', '3', '\n'};
 
 // --- primitive writers/readers (little-endian native; the format is not
@@ -248,9 +244,7 @@ BaselineZscoreStage::State get_stage_state(BoundedReader& in) {
   return state;
 }
 
-/// Everything a pipeline or fleet container parses before assembly. A
-/// pipeline-kind parse holds one model and the trivial identity partition,
-/// so either kind can assemble into any topology.
+/// Everything an engine container parses before assembly.
 struct ParsedCheckpoint {
   PipelineOptions stage_options;  // band/baseline/zscore/reselect only
   std::uint64_t chunks_processed = 0;
@@ -258,21 +252,27 @@ struct ParsedCheckpoint {
   BaselineZscoreStage::State stage_state;
   std::uint64_t sensors = 0;
   std::vector<std::vector<std::size_t>> groups;
-  std::vector<IncrementalMrdmd> models;
-  /// Hierarchy section (V2/V3 containers): 0 = flat stack.
+  /// 0 = flat stack. Otherwise the explicit coarse grid and each sensor's
+  /// interpolation entry, carried because elastic growth appends grid rows
+  /// that ModelStack::coarse_grid(groups, stride) cannot reproduce.
   std::uint64_t coarse_stride = 0;
-  std::optional<IncrementalMrdmd> coarse_model;
-  /// Explicit coarse grid + interpolation map (V3 only; empty grid =
-  /// canonical, i.e. re-derivable as ModelStack::coarse_grid(groups,
-  /// stride)). Carried because elastic growth appends grid rows the pure
-  /// function cannot reproduce.
   std::vector<std::size_t> coarse_grid_rows;
-  std::vector<std::uint64_t> interp_lo;
-  std::vector<std::uint64_t> interp_hi;
-  std::vector<double> interp_w;
+  std::vector<ModelStack::Interp> interp;
+  /// 0 = the section list follows inline; else the manifest's part count.
+  std::uint64_t writers = 0;
+  std::optional<IncrementalMrdmd> coarse_model;
+  std::vector<IncrementalMrdmd> models;
 };
 
-// --- delta-container primitives ----------------------------------------
+/// The delta save's manifest, which follows a nonzero writer count.
+struct Manifest {
+  std::uint64_t epoch = 0;
+  std::vector<std::uint64_t> part_bytes;
+  std::vector<std::uint64_t> part_digest;
+  /// Chunk count and stream position at the base write.
+  std::uint64_t base_chunks = 0;
+  std::uint64_t base_position = 0;
+};
 
 /// The sidecar part file of writer `writer` in epoch `epoch`:
 /// <path>.r<writer>.e<epoch>. A base rewrite bumps the epoch, so the files
@@ -282,31 +282,13 @@ std::string part_path(const std::string& path, std::size_t writer,
   return path + ".r" + std::to_string(writer) + ".e" + std::to_string(epoch);
 }
 
-void put_header(std::ostream& out, const PipelineOptions& options,
-                std::uint64_t chunks_processed, std::uint64_t stream_position,
-                const BaselineZscoreStage::State& state) {
-  put_stage_options(out, options);
-  put_u64(out, chunks_processed);
-  put_u64(out, stream_position);
-  put_stage_state(out, state);
-}
-
-void get_header(BoundedReader& in, ParsedCheckpoint& parsed) {
-  get_stage_options(in, parsed.stage_options);
-  parsed.chunks_processed = get_u64(in);
-  parsed.stream_position = get_u64(in);
-  parsed.stage_state = get_stage_state(in);
-  if (parsed.chunks_processed == 0) {
-    throw ParseError("checkpoint has no processed chunks");
-  }
-}
-
 }  // namespace
 
 /// Single access point for every private member the checkpoint module
 /// serializes: the model internals (IncrementalMrdmd) and the unified
-/// engine's model stack, stage, counters, and lane structure (Assessor /
-/// ModelStack). Defined only in this translation unit.
+/// engine's model stack, stage, counters, lane structure and journal
+/// (Assessor / ModelStack / DeltaJournal). Defined only in this translation
+/// unit.
 struct CheckpointAccess {
   /// `parallel_bins_override`, when non-null, is written in place of the
   /// model's own mrdmd.parallel_bins. The engine forces that knob off on
@@ -318,32 +300,32 @@ struct CheckpointAccess {
   static void put_model(std::ostream& out, const IncrementalMrdmd& model,
                         const bool* parallel_bins_override = nullptr);
   static IncrementalMrdmd get_model(BoundedReader& in);
-  /// The legacy "IMRDPL1" container over a flat monolithic engine.
-  static void save_pipeline_container(std::ostream& out,
-                                      const Assessor& assessor);
-  /// The "IMRDFL1"/"IMRDFL2" container over any single-process engine.
-  static void save_single(std::ostream& out, const Assessor& assessor);
-  /// Collective save of a distributed-topology engine (same bytes).
-  static void save_distributed(std::ostream* out, const Assessor& assessor);
-  /// The "IMRDFL3" rank-local delta container: every process writes (or
-  /// appends to) its own part file; rank 0 atomically rewrites the main
-  /// manifest. Collective in the distributed topology.
-  static void save_fleet3(const std::string& path, Assessor& assessor);
-  /// Loads an "IMRDFL3" container (`in` is the main file, magic already
-  /// consumed): restores the base models from the part files, replays the
-  /// journaled delta chunks through them, and validates the result against
-  /// the manifest's final counters.
-  static RestoredAssessor load_fleet3(const std::string& path,
-                                      BoundedReader& in,
-                                      dist::Communicator* comm,
-                                      const AssessorResumeOptions& resume);
+  /// Magic, stage header, partition and hierarchy map, then `writers`.
+  static void put_preamble(std::ostream& out, const Assessor& assessor,
+                           std::uint64_t writers);
+  /// The full save. Collective in the distributed topology, where `out` is
+  /// non-null on rank 0 only.
+  static void save_full(std::ostream* out, const Assessor& assessor);
+  /// The delta save: every process writes (or appends to) its own part
+  /// file; rank 0 atomically rewrites the main manifest.
+  static void save_delta(const std::string& path, Assessor& assessor);
+  /// Saves `path` in the engine's storage and retires the parts of the
+  /// epoch it supersedes. Collective in the distributed topology.
+  static void save_file(const std::string& path, Assessor& assessor);
+  /// Loads either storage. `path` names the main file whose parts a delta
+  /// save references (nullptr for a stream, which cannot reach them).
+  static RestoredAssessor load(BoundedReader& in, const std::string* path,
+                               dist::Communicator* comm,
+                               const AssessorResumeOptions& resume);
   /// Builds an engine of any topology from a parsed container.
   static RestoredAssessor assemble(ParsedCheckpoint parsed,
                                    dist::Communicator* comm,
                                    const AssessorResumeOptions& resume);
-  static BaselineZscoreStage::State stage_state(const Assessor& assessor) {
-    return assessor.zscore_stage_.state();
-  }
+  /// Replays the delta records (per writer, per chunk) through a restored
+  /// base, which must then sit at `position`.
+  static void replay(Assessor& assessor,
+                     const std::vector<std::vector<linalg::Mat>>& records,
+                     std::uint64_t position);
 };
 
 namespace {
@@ -378,120 +360,266 @@ IncrementalMrdmd get_model_section(BoundedReader& in, const char* what) {
   return model;
 }
 
-ParsedCheckpoint parse_pipeline_body(BoundedReader& in) {
-  ParsedCheckpoint parsed;
-  get_header(in, parsed);
-  parsed.models.push_back(get_model_section(in, "pipeline model section"));
-  if (parsed.models[0].time_steps() != parsed.stream_position) {
-    throw ParseError("checkpoint stream position disagrees with the model");
-  }
-  parsed.sensors = parsed.models[0].sensors();
-  parsed.groups.emplace_back();
-  parsed.groups[0].reserve(parsed.sensors);
-  for (std::size_t p = 0; p < parsed.sensors; ++p) {
-    parsed.groups[0].push_back(p);
-  }
-  check_stage_state(parsed);
-  return parsed;
+// --- the section list: count, the coarse section first, then groups in
+// global order. The full save writes one inline; each part starts with one.
+
+std::string model_image(const IncrementalMrdmd& model, bool canonical_bins) {
+  std::ostringstream buffer;
+  CheckpointAccess::put_model(buffer, model, &canonical_bins);
+  return std::move(buffer).str();
 }
 
-/// Reads the sensor count + group partition shared by every fleet
-/// container generation (V1/V2/V3), with the same bounded validation.
-void parse_fleet_partition(BoundedReader& in, ParsedCheckpoint& parsed) {
+void put_section(std::ostream& out, const std::string& image) {
+  put_u64(out, image.size());
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+/// The section count, then the coarse section when `coarse` is non-null;
+/// the caller writes the `groups` group sections after it.
+void put_list_head(std::ostream& out, std::size_t groups,
+                   const IncrementalMrdmd* coarse, bool canonical_bins) {
+  put_u64(out, groups + (coarse != nullptr ? 1 : 0));
+  if (coarse != nullptr) put_section(out, model_image(*coarse, canonical_bins));
+}
+
+/// Reads a section list holding the coarse model when `coarse`, then the
+/// models of groups [first, last). Each must match its rows and sit at
+/// stream position `position`.
+void get_section_list(BoundedReader& in, ParsedCheckpoint& parsed,
+                      std::size_t first, std::size_t last, bool coarse,
+                      std::uint64_t position) {
+  if (get_u64(in) != (last - first) + (coarse ? 1 : 0)) {
+    throw ParseError("checkpoint section count mismatch");
+  }
+  const auto check = [position](const IncrementalMrdmd& model,
+                                std::size_t rows, const char* what) {
+    if (model.sensors() != rows) {
+      throw ParseError(std::string("checkpoint ") + what +
+                       " row count disagrees with the partition");
+    }
+    if (model.time_steps() != position) {
+      throw ParseError(std::string("checkpoint ") + what +
+                       " disagrees with the stream position");
+    }
+  };
+  if (coarse) {
+    parsed.coarse_model = get_model_section(in, "coarse model section");
+    check(*parsed.coarse_model, parsed.coarse_grid_rows.size(),
+          "coarse model");
+  }
+  for (std::size_t g = first; g < last; ++g) {
+    parsed.models.push_back(get_model_section(in, "group model section"));
+    check(parsed.models.back(), parsed.groups[g].size(), "group model");
+  }
+}
+
+/// Parses the container magic, the preamble and the writer count.
+ParsedCheckpoint parse_preamble(BoundedReader& in) {
+  char magic[sizeof kEngineMagic];
+  in.read(magic, sizeof magic, "magic");
+  if (std::memcmp(magic, kEngineMagic, sizeof magic) != 0) {
+    throw ParseError("not an imrdmd engine checkpoint (bad magic)");
+  }
+  ParsedCheckpoint parsed;
+  get_stage_options(in, parsed.stage_options);
+  parsed.chunks_processed = get_u64(in);
+  parsed.stream_position = get_u64(in);
+  parsed.stage_state = get_stage_state(in);
+  if (parsed.chunks_processed == 0) {
+    throw ParseError("checkpoint has no processed chunks");
+  }
+
   parsed.sensors = get_u64(in);
   if (parsed.sensors == 0 || parsed.sensors > (std::uint64_t{1} << 32)) {
-    throw ParseError("fleet checkpoint sensor count implausible");
+    throw ParseError("checkpoint sensor count implausible");
   }
   const std::uint64_t group_count = get_u64(in);
   if (group_count == 0 || group_count > parsed.sensors) {
-    throw ParseError("fleet checkpoint group count implausible");
+    throw ParseError("checkpoint group count implausible");
   }
   // Every group carries at least its size word; a partition of `sensors`
   // carries exactly `sensors` index words in total. Bound both before any
   // group drives an allocation.
   in.require((group_count + parsed.sensors) * sizeof(std::uint64_t),
-             "fleet groups");
+             "groups");
   parsed.groups.resize(group_count);
   for (auto& group : parsed.groups) {
     const std::uint64_t size = get_u64(in);
     if (size > parsed.sensors) {
-      throw ParseError("fleet checkpoint group size implausible");
+      throw ParseError("checkpoint group size implausible");
     }
-    in.require(size * sizeof(std::uint64_t), "fleet group");
+    in.require(size * sizeof(std::uint64_t), "group");
     group.resize(size);
     for (auto& sensor : group) {
       sensor = static_cast<std::size_t>(get_u64(in));
       if (sensor >= parsed.sensors) {
-        throw ParseError("fleet checkpoint group sensor index out of range");
+        throw ParseError("checkpoint group sensor index out of range");
       }
     }
   }
-}
 
-ParsedCheckpoint parse_fleet_body(BoundedReader& in, bool v2) {
-  ParsedCheckpoint parsed;
-  get_header(in, parsed);
-  parse_fleet_partition(in, parsed);
-  if (v2) {
-    // Hierarchy section: the stride and the replicated coarse model. A V2
-    // container with a disabled stride would be a V1 spelled wrong (and
-    // would break resave byte-identity), so it is rejected as corrupt.
-    parsed.coarse_stride = get_u64(in);
-    if (parsed.coarse_stride == 0 ||
-        parsed.coarse_stride > (std::uint64_t{1} << 32)) {
-      throw ParseError("fleet checkpoint coarse stride implausible");
+  parsed.coarse_stride = get_u64(in);
+  if (parsed.coarse_stride > (std::uint64_t{1} << 32)) {
+    throw ParseError("checkpoint coarse stride implausible");
+  }
+  if (parsed.coarse_stride > 0) {
+    const std::uint64_t grid_count = get_u64(in);
+    if (grid_count == 0 || grid_count > parsed.sensors) {
+      throw ParseError("checkpoint coarse grid implausible");
     }
-    parsed.coarse_model =
-        get_model_section(in, "fleet coarse model section");
-    const std::size_t coarse_rows =
-        ModelStack::coarse_grid(parsed.groups,
-                                static_cast<std::size_t>(
-                                    parsed.coarse_stride))
-            .size();
-    if (parsed.coarse_model->sensors() != coarse_rows) {
-      throw ParseError(
-          "fleet coarse section row count disagrees with the partition");
+    in.require(grid_count * sizeof(std::uint64_t), "coarse grid");
+    parsed.coarse_grid_rows.resize(grid_count);
+    for (auto& row : parsed.coarse_grid_rows) {
+      row = static_cast<std::size_t>(get_u64(in));
+      if (row >= parsed.sensors) {
+        throw ParseError("checkpoint coarse grid row out of range");
+      }
     }
-    if (parsed.coarse_model->time_steps() != parsed.stream_position) {
-      throw ParseError(
-          "fleet checkpoint stream position disagrees with the coarse "
-          "model");
+    const std::uint64_t interp_count = get_u64(in);
+    if (interp_count != parsed.sensors) {
+      throw ParseError("checkpoint interpolation map count mismatch");
+    }
+    in.require(interp_count * (2 * sizeof(std::uint64_t) + sizeof(double)),
+               "interpolation map");
+    parsed.interp.resize(interp_count);
+    for (ModelStack::Interp& ip : parsed.interp) {
+      ip.lo = static_cast<std::size_t>(get_u64(in));
+      ip.hi = static_cast<std::size_t>(get_u64(in));
+      ip.w = get_f64(in);
+      if (ip.lo >= grid_count || ip.hi >= grid_count) {
+        throw ParseError("checkpoint interpolation row out of range");
+      }
     }
   }
-  const std::size_t group_count = parsed.groups.size();
-  parsed.models.reserve(group_count);
-  for (std::size_t g = 0; g < group_count; ++g) {
-    parsed.models.push_back(get_model_section(in, "fleet model section"));
-    if (parsed.models.back().sensors() != parsed.groups[g].size()) {
-      throw ParseError("fleet section row count disagrees with its group");
-    }
-    if (parsed.models.back().time_steps() != parsed.stream_position) {
-      throw ParseError("fleet checkpoint stream position disagrees with a "
-                       "group model");
-    }
+
+  parsed.writers = get_u64(in);
+  if (parsed.writers > (std::uint64_t{1} << 20)) {
+    throw ParseError("checkpoint writer count implausible");
   }
-  check_stage_state(parsed);
   return parsed;
 }
 
-ParsedCheckpoint parse_any(BoundedReader& in) {
-  char magic[sizeof kMagic];
-  in.read(magic, sizeof magic, "magic");
-  if (std::memcmp(magic, kPipelineMagic, sizeof magic) == 0) {
-    return parse_pipeline_body(in);
+Manifest get_manifest(BoundedReader& in, const ParsedCheckpoint& parsed) {
+  in.require((parsed.writers * 2 + 3) * sizeof(std::uint64_t),
+             "delta manifest");
+  Manifest manifest;
+  manifest.epoch = get_u64(in);
+  manifest.part_bytes.resize(parsed.writers);
+  manifest.part_digest.resize(parsed.writers);
+  for (std::uint64_t w = 0; w < parsed.writers; ++w) {
+    manifest.part_bytes[w] = get_u64(in);
+    manifest.part_digest[w] = get_u64(in);
   }
-  if (std::memcmp(magic, kFleetMagic, sizeof magic) == 0) {
-    return parse_fleet_body(in, /*v2=*/false);
+  manifest.base_chunks = get_u64(in);
+  manifest.base_position = get_u64(in);
+  if (manifest.base_chunks == 0 ||
+      manifest.base_chunks > parsed.chunks_processed ||
+      manifest.base_position > parsed.stream_position) {
+    throw ParseError("delta checkpoint base counters implausible");
   }
-  if (std::memcmp(magic, kFleetMagic2, sizeof magic) == 0) {
-    return parse_fleet_body(in, /*v2=*/true);
+  return manifest;
+}
+
+/// The epoch and writer count of the checkpoint already at `path`; (0, 0)
+/// when it is missing, unparseable or a full save, none of which names
+/// parts.
+std::pair<std::size_t, std::size_t> existing_epoch(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return {0, 0};
+  try {
+    BoundedReader in(file);
+    const ParsedCheckpoint parsed = parse_preamble(in);
+    if (parsed.writers == 0) return {0, 0};
+    return {static_cast<std::size_t>(get_manifest(in, parsed).epoch),
+            static_cast<std::size_t>(parsed.writers)};
+  } catch (const ParseError&) {
+    return {0, 0};
   }
-  if (std::memcmp(magic, kFleetMagic3, sizeof magic) == 0) {
+}
+
+/// Reads every part the manifest names: each writer's section list into
+/// `parsed` (writer w owned rank_group_range(G, W, w), so the groups arrive
+/// in global order) and the raw-row records journaled after it, returned
+/// per writer, per chunk.
+std::vector<std::vector<linalg::Mat>> read_parts(const std::string& path,
+                                                 const Manifest& manifest,
+                                                 ParsedCheckpoint& parsed) {
+  const std::size_t writers = manifest.part_bytes.size();
+  const std::size_t record_count =
+      static_cast<std::size_t>(parsed.chunks_processed - manifest.base_chunks);
+  std::vector<std::vector<linalg::Mat>> records(writers);
+  for (std::size_t w = 0; w < writers; ++w) {
+    const auto range = rank_group_range(parsed.groups.size(), writers, w);
+    std::size_t rows = 0;
+    for (std::size_t g = range.first; g < range.second; ++g) {
+      rows += parsed.groups[g].size();
+    }
+    const std::string name = part_path(path, w, manifest.epoch);
+    std::ifstream file(name, std::ios::binary | std::ios::ate);
+    if (!file) throw ParseError("delta checkpoint part missing: " + name);
+    // Size check BEFORE the allocation: a corrupted manifest length must
+    // fail as a truncated part, not as a giant buffer.
+    const auto actual = file.tellg();
+    if (actual < 0 ||
+        static_cast<std::uint64_t>(actual) < manifest.part_bytes[w]) {
+      throw ParseError("delta checkpoint part truncated: " + name);
+    }
+    file.seekg(0);
+    std::string data(static_cast<std::size_t>(manifest.part_bytes[w]), '\0');
+    file.read(data.data(), static_cast<std::streamsize>(data.size()));
+    if (static_cast<std::uint64_t>(file.gcount()) != manifest.part_bytes[w]) {
+      throw ParseError("delta checkpoint part truncated: " + name);
+    }
+    // A longer file is fine (a torn append past the manifest's bytes); a
+    // digest mismatch inside them is not.
+    if (fnv1a64(data.data(), data.size()) != manifest.part_digest[w]) {
+      throw ParseError("delta checkpoint part digest mismatch: " + name);
+    }
+    std::istringstream stream(std::move(data));
+    BoundedReader part(stream);
+    char magic[sizeof kPartMagic];
+    part.read(magic, sizeof magic, "part magic");
+    if (std::memcmp(magic, kPartMagic, sizeof magic) != 0) {
+      throw ParseError("not an imrdmd delta part (bad magic)");
+    }
+    get_section_list(part, parsed, range.first, range.second,
+                     w == 0 && parsed.coarse_stride > 0,
+                     manifest.base_position);
+    // Reserve against the bytes actually present, not the (corruptible)
+    // manifest counter — the loop below still parses exactly record_count
+    // records or fails on the bounded reader.
+    records[w].reserve(std::min<std::size_t>(
+        record_count, part.remaining() / (2 * sizeof(std::uint64_t)) + 1));
+    for (std::size_t i = 0; i < record_count; ++i) {
+      linalg::Mat record = get_mat(part);
+      if (record.rows() != rows || record.cols() == 0) {
+        throw ParseError("delta checkpoint record shape mismatch");
+      }
+      records[w].push_back(std::move(record));
+    }
+    if (part.remaining() != 0) {
+      throw ParseError("delta checkpoint part has trailing bytes");
+    }
+  }
+
+  // Cross-part consistency: every writer journaled the same chunk
+  // sequence, and together the records span base -> final position.
+  std::uint64_t replayed = 0;
+  for (std::size_t i = 0; i < record_count; ++i) {
+    for (std::size_t w = 1; w < writers; ++w) {
+      if (records[w][i].cols() != records[0][i].cols()) {
+        throw ParseError(
+            "delta checkpoint parts disagree on a record's width");
+      }
+    }
+    replayed += records[0][i].cols();
+  }
+  if (manifest.base_position + replayed != parsed.stream_position) {
     throw ParseError(
-        "the IMRDFL3 delta container references sidecar part files; load "
-        "it through the file-path API");
+        "delta checkpoint records do not span the recorded stream "
+        "position");
   }
-  throw ParseError("not an imrdmd pipeline/fleet checkpoint (bad magic)");
+  return records;
 }
 
 }  // namespace
@@ -610,157 +738,62 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   return model;
 }
 
-void CheckpointAccess::save_pipeline_container(std::ostream& out,
-                                               const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.stack_.fine_count() == 1 &&
-                         assessor.stack_.fine(0).fitted(),
-                     "cannot checkpoint a pipeline before its first chunk");
-  IMRDMD_REQUIRE_ARG(
-      !assessor.stack_.hierarchical(),
-      "the legacy pipeline container cannot hold a hierarchy");
-  out.write(kPipelineMagic, sizeof kPipelineMagic);
-  put_header(out, assessor.config_.pipeline_options,
-             assessor.chunks_processed_, assessor.snapshots_seen_,
-             assessor.zscore_stage_.state());
-  // The monolithic engine always runs its single group on the caller
-  // thread, so the model's own parallel_bins is the configured value —
-  // byte-identical to the pre-unification pipeline writer.
-  std::ostringstream buffer;
-  put_model(buffer, assessor.stack_.fine(0));
-  const std::string bytes = std::move(buffer).str();
-  put_u64(out, bytes.size());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw Error("pipeline checkpoint write failed");
-}
-
 namespace {
 
-/// The container preamble shared by the single-process and distributed
-/// writers: version magic (V2 exactly when hierarchical), stage header,
-/// partition, and — V2 only — the hierarchy section with the replicated
-/// coarse model (canonicalized like every model section).
-void put_fleet_preamble(std::ostream& out, const Assessor& assessor,
-                        bool canonical_bins) {
-  const bool hierarchical = assessor.hierarchical();
-  out.write(hierarchical ? kFleetMagic2 : kFleetMagic, sizeof kFleetMagic);
-  put_header(out, assessor.config().pipeline_options,
-             assessor.chunks_processed(), assessor.snapshots_processed(),
-             CheckpointAccess::stage_state(assessor));
-  put_u64(out, assessor.sensors());
-  put_u64(out, assessor.groups().size());
-  for (const auto& group : assessor.groups()) {
-    put_u64(out, group.size());
-    for (std::size_t sensor : group) put_u64(out, sensor);
-  }
-  if (hierarchical) {
-    put_u64(out, assessor.coarse_stride());
-    std::ostringstream buffer;
-    CheckpointAccess::put_model(buffer, assessor.coarse_model(),
-                                &canonical_bins);
-    const std::string bytes = std::move(buffer).str();
-    put_u64(out, bytes.size());
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-}
-
-}  // namespace
-
-void CheckpointAccess::save_single(std::ostream& out,
-                                   const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.comm_ == nullptr,
-                     "use the collective save for a distributed engine");
-  IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
-                     "cannot checkpoint a fleet before its first chunk");
-  IMRDMD_REQUIRE_ARG(
-      !assessor.stack_.hierarchical() ||
-          assessor.stack_.coarse_grid_canonical(),
-      "an elastically grown hierarchical stack cannot be saved into the "
-      "IMRDFL1/IMRDFL2 containers (they re-derive the coarse grid on "
-      "load); enable the delta (IMRDFL3) checkpoint policy");
-  const bool canonical_bins =
-      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
-  put_fleet_preamble(out, assessor, canonical_bins);
-
-  // Serialize the per-group model images concurrently across the engine's
-  // worker lanes (the same lane structure process() uses); the images are
-  // then concatenated in deterministic group order, so the bytes are
-  // identical for any lane count.
-  const std::size_t group_count = assessor.groups_.size();
-  std::vector<std::string> sections(group_count);
-  run_lanes(
-      assessor.lanes_,
-      [&assessor, &sections, &canonical_bins, group_count](std::size_t lane) {
-        for (std::size_t g = lane; g < group_count; g += assessor.lanes_) {
-          std::ostringstream buffer;
-          put_model(buffer, assessor.stack_.fine(g), &canonical_bins);
-          sections[g] = std::move(buffer).str();
-        }
-      },
-      &assessor.pool());
-  for (const std::string& section : sections) {
-    put_u64(out, section.size());
-    out.write(section.data(), static_cast<std::streamsize>(section.size()));
-  }
-  if (!out) throw Error("fleet checkpoint write failed");
-}
-
-namespace {
-
-/// Packs one rank's model sections into the doubles the communicator
-/// speaks: [section_count, then per section: byte_length,
-/// ceil(byte_length/8) words of raw bytes (zero-padded)]. Counts and
-/// lengths ride as exact integers — sections are far below 2^53 bytes.
+/// Packs one rank's length-prefixed model sections into the doubles the
+/// communicator speaks: [byte count, then the bytes, zero-padded to whole
+/// words]. The count rides as an exact integer (far below 2^53).
 std::vector<double> pack_sections(const std::vector<std::string>& sections) {
-  std::size_t words = 1;
-  for (const std::string& s : sections) words += 1 + (s.size() + 7) / 8;
-  std::vector<double> blob;
-  blob.reserve(words);
-  blob.push_back(static_cast<double>(sections.size()));
+  std::size_t bytes = 0;
   for (const std::string& s : sections) {
-    blob.push_back(static_cast<double>(s.size()));
-    const std::size_t padded = (s.size() + 7) / 8;
-    const std::size_t start = blob.size();
-    blob.resize(start + padded, 0.0);
-    std::memcpy(blob.data() + start, s.data(), s.size());
+    bytes += sizeof(std::uint64_t) + s.size();
+  }
+  std::vector<double> blob(1 + (bytes + 7) / 8, 0.0);
+  blob[0] = static_cast<double>(bytes);
+  char* cursor = reinterpret_cast<char*>(blob.data() + 1);
+  for (const std::string& s : sections) {
+    const std::uint64_t length = s.size();
+    std::memcpy(cursor, &length, sizeof length);
+    std::memcpy(cursor + sizeof length, s.data(), s.size());
+    cursor += sizeof length + s.size();
   }
   return blob;
 }
 
-/// Inverse of pack_sections; `expected` is the section count this rank was
-/// supposed to contribute (its owned group count).
-std::vector<std::string> unpack_sections(const std::vector<double>& blob,
-                                         std::size_t expected) {
-  IMRDMD_REQUIRE_DIMS(!blob.empty() &&
-                          blob[0] == static_cast<double>(expected),
-                      "distributed checkpoint rank section count mismatch");
-  std::vector<std::string> sections;
-  sections.reserve(expected);
-  std::size_t cursor = 1;
-  for (std::size_t s = 0; s < expected; ++s) {
-    IMRDMD_REQUIRE_DIMS(cursor < blob.size(),
-                        "distributed checkpoint rank blob truncated");
-    const std::size_t bytes = static_cast<std::size_t>(blob[cursor++]);
-    const std::size_t padded = (bytes + 7) / 8;
-    IMRDMD_REQUIRE_DIMS(cursor + padded <= blob.size(),
-                        "distributed checkpoint rank blob truncated");
-    std::string section(bytes, '\0');
-    std::memcpy(section.data(), blob.data() + cursor, bytes);
-    sections.push_back(std::move(section));
-    cursor += padded;
-  }
-  IMRDMD_REQUIRE_DIMS(cursor == blob.size(),
-                      "distributed checkpoint rank blob has trailing bytes");
-  return sections;
-}
-
 }  // namespace
 
-void CheckpointAccess::save_distributed(std::ostream* out,
-                                        const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.comm_ != nullptr,
-                     "this engine is not distributed");
-  dist::Communicator& comm = *assessor.comm_;
-  const bool root = comm.rank() == 0;
+void CheckpointAccess::put_preamble(std::ostream& out,
+                                    const Assessor& assessor,
+                                    std::uint64_t writers) {
+  out.write(kEngineMagic, sizeof kEngineMagic);
+  put_stage_options(out, assessor.config_.pipeline_options);
+  put_u64(out, assessor.chunks_processed_);
+  put_u64(out, assessor.snapshots_seen_);
+  put_stage_state(out, assessor.zscore_stage_.state());
+  put_u64(out, assessor.sensors_);
+  put_u64(out, assessor.groups_.size());
+  for (const auto& group : assessor.groups_) {
+    put_u64(out, group.size());
+    for (std::size_t sensor : group) put_u64(out, sensor);
+  }
+  const ModelStack& stack = assessor.stack_;
+  put_u64(out, stack.coarse_stride());
+  if (stack.hierarchical()) {
+    put_u64(out, stack.rows_.size());
+    for (std::size_t row : stack.rows_) put_u64(out, row);
+    put_u64(out, stack.interp_.size());
+    for (const auto& ip : stack.interp_) {
+      put_u64(out, ip.lo);
+      put_u64(out, ip.hi);
+      put_f64(out, ip.w);
+    }
+  }
+  put_u64(out, writers);
+}
+
+void CheckpointAccess::save_full(std::ostream* out, const Assessor& assessor) {
+  dist::Communicator* comm = assessor.comm_;
+  const bool root = assessor.rank() == 0;
   IMRDMD_REQUIRE_ARG(root == (out != nullptr),
                      "the checkpoint stream lives on rank 0 only (pass "
                      "nullptr on the other ranks)");
@@ -768,105 +801,91 @@ void CheckpointAccess::save_distributed(std::ostream* out,
   // throws here together — before any collective.
   IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
                      "cannot checkpoint a fleet before its first chunk");
-  IMRDMD_REQUIRE_ARG(
-      !assessor.stack_.hierarchical() ||
-          assessor.stack_.coarse_grid_canonical(),
-      "an elastically grown hierarchical stack cannot be saved into the "
-      "IMRDFL1/IMRDFL2 containers (they re-derive the coarse grid on "
-      "load); enable the delta (IMRDFL3) checkpoint policy");
 
-  // Serialize the owned groups' model images concurrently across this
-  // rank's local lanes (the same lane structure process() uses), in local
-  // group order.
-  const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
   const bool canonical_bins =
       assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
+  const auto put_head = [&assessor, out, canonical_bins] {
+    put_preamble(*out, assessor, 0);
+    put_list_head(*out, assessor.groups_.size(),
+                  assessor.stack_.hierarchical() ? &assessor.stack_.coarse()
+                                                 : nullptr,
+                  canonical_bins);
+  };
+  // Without a gather to wait for, the coarse image is written (and freed)
+  // before the group images exist, so peak memory holds only one of them.
+  if (comm == nullptr) put_head();
+
+  // Serialize this process's groups' model images concurrently across its
+  // lanes (the same lane structure process() uses), in local group order.
+  const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
   std::vector<std::string> sections(local_count);
   run_lanes(
       assessor.lanes_,
-      [&assessor, &sections, &canonical_bins, local_count](std::size_t lane) {
+      [&assessor, &sections, canonical_bins, local_count](std::size_t lane) {
         for (std::size_t l = lane; l < local_count; l += assessor.lanes_) {
-          std::ostringstream buffer;
-          put_model(buffer, assessor.stack_.fine(l), &canonical_bins);
-          sections[l] = std::move(buffer).str();
+          sections[l] = model_image(assessor.stack_.fine(l), canonical_bins);
         }
       },
       &assessor.pool());
 
-  // One ragged gather moves every rank's sections to the writer. Rank
-  // blocks arrive in rank order and ownership ranges are contiguous, so
-  // concatenation IS global group order — the same order (and bytes) the
-  // single-process save_single writes.
-  const std::vector<double> blob = pack_sections(sections);
-  const std::vector<std::vector<double>> blobs =
-      comm.gatherv(std::span<const double>(blob.data(), blob.size()), 0);
-  if (!root) return;
-
-  // Rank 0's coarse replica is every rank's coarse replica (the coarse
-  // update is deterministic over the agreed coarse grid rows), so the
-  // hierarchy section needs no gather and the bytes stay rank-count
-  // invariant.
-  put_fleet_preamble(*out, assessor, canonical_bins);
-  const std::size_t ranks = static_cast<std::size_t>(comm.size());
-  for (std::size_t r = 0; r < ranks; ++r) {
-    const auto range = rank_group_range(assessor.groups_.size(), ranks, r);
-    const std::vector<std::string> rank_sections =
-        unpack_sections(blobs[r], range.second - range.first);
-    for (const std::string& section : rank_sections) {
-      put_u64(*out, section.size());
-      out->write(section.data(),
-                 static_cast<std::streamsize>(section.size()));
+  if (comm == nullptr) {
+    for (const std::string& section : sections) put_section(*out, section);
+  } else {
+    // One ragged gather moves every rank's sections to the writer. Rank
+    // blocks arrive in rank order and ownership ranges are contiguous, so
+    // concatenation IS global group order: the bytes are the same for any
+    // lane or rank count.
+    const std::vector<double> blob = pack_sections(sections);
+    const std::vector<std::vector<double>> blobs = comm->gatherv(
+        std::span<const double>(blob.data(), blob.size()), 0);
+    if (!root) return;
+    // Rank 0's coarse replica is every rank's coarse replica (the coarse
+    // update is deterministic over the agreed coarse grid rows), so the
+    // coarse section needs no gather.
+    put_head();
+    for (const std::vector<double>& rank_blob : blobs) {
+      const auto bytes = static_cast<std::size_t>(rank_blob.at(0));
+      IMRDMD_REQUIRE_DIMS(1 + (bytes + 7) / 8 == rank_blob.size(),
+                          "distributed checkpoint rank blob size mismatch");
+      out->write(reinterpret_cast<const char*>(rank_blob.data() + 1),
+                 static_cast<std::streamsize>(bytes));
     }
   }
-  if (!*out) throw Error("fleet checkpoint write failed");
+  if (!*out) throw Error("engine checkpoint write failed");
 }
 
-void CheckpointAccess::save_fleet3(const std::string& path,
-                                   Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
-                     "cannot checkpoint a fleet before its first chunk");
+void CheckpointAccess::save_delta(const std::string& path,
+                                  Assessor& assessor) {
   DeltaJournal& journal = assessor.journal_;
   dist::Communicator* comm = assessor.comm_;
-  const std::size_t writers =
-      comm != nullptr ? static_cast<std::size_t>(comm->size()) : 1;
-  const std::size_t writer =
-      comm != nullptr ? static_cast<std::size_t>(comm->rank()) : 0;
+  const auto writers = static_cast<std::size_t>(assessor.ranks());
+  const auto writer = static_cast<std::size_t>(assessor.rank());
   const bool root = writer == 0;
-  const bool hierarchical = assessor.stack_.hierarchical();
-  const bool canonical_bins =
-      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
 
-  // Base rewrite on the first save of this engine's life, after a resume or
-  // an elastic growth, and when the target path changes; otherwise append
-  // only the rows processed since the last save. Every input to this
-  // decision is replicated, so all ranks agree.
-  const bool need_base = !journal.appendable_ || journal.path_ != path;
-  // The epoch a base rewrite supersedes at this path, retired below.
-  const std::size_t old_epoch = journal.epoch_;
-  const std::size_t old_writers = journal.path_ == path ? journal.writers_ : 0;
-
-  if (need_base) {
+  // Base rewrite on the first save at this path, after a resume or an
+  // elastic growth; otherwise append only the rows processed since the
+  // last save. Every input to this decision is replicated, so all ranks
+  // agree.
+  if (!journal.appendable_) {
     // A monotonic epoch names the part files, so a base rewrite never
     // touches the files the still-current main references — a crash
     // before the main rewrite leaves the previous checkpoint whole.
     const std::size_t epoch = journal.epoch_ + 1;
-    std::ostringstream part;
-    part.write(kPartMagic, sizeof kPartMagic);
+    const bool canonical_bins =
+        assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
     const std::size_t local_count =
         assessor.local_end_ - assessor.local_begin_;
-    put_u64(part,
-            local_count + ((root && hierarchical) ? std::size_t{1} : 0));
-    const auto put_section = [&part, &canonical_bins](
-                                 const IncrementalMrdmd& model) {
-      std::ostringstream buffer;
-      put_model(buffer, model, &canonical_bins);
-      const std::string bytes = std::move(buffer).str();
-      put_u64(part, bytes.size());
-      part.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    };
-    if (root && hierarchical) put_section(assessor.stack_.coarse());
+    // Each section goes straight into the part buffer, so only one model
+    // image is held at a time.
+    std::ostringstream part;
+    part.write(kPartMagic, sizeof kPartMagic);
+    put_list_head(part, local_count,
+                  root && assessor.stack_.hierarchical()
+                      ? &assessor.stack_.coarse()
+                      : nullptr,
+                  canonical_bins);
     for (std::size_t l = 0; l < local_count; ++l) {
-      put_section(assessor.stack_.fine(l));
+      put_section(part, model_image(assessor.stack_.fine(l), canonical_bins));
     }
     const std::string bytes = std::move(part).str();
     std::ofstream out(part_path(path, writer, epoch),
@@ -876,7 +895,6 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     if (!out) throw Error("delta checkpoint part write failed");
     journal.part_bytes_ = bytes.size();
     journal.part_digest_ = fnv1a64(bytes.data(), bytes.size());
-    journal.path_ = path;
     journal.epoch_ = epoch;
     journal.writers_ = writers;
     journal.base_chunks_ = assessor.chunks_processed_;
@@ -909,74 +927,74 @@ void CheckpointAccess::save_fleet3(const std::string& path,
   // The manifest needs every writer's (byte count, digest). The digest
   // travels as two exact 32-bit halves — doubles carry 32-bit integers
   // exactly, a raw 64-bit reinterpretation could be NaN.
-  std::vector<std::uint64_t> all_bytes{journal.part_bytes_};
-  std::vector<std::uint64_t> all_digest{journal.part_digest_};
-  if (comm != nullptr) {
-    const double mine[3] = {
-        static_cast<double>(journal.part_bytes_),
-        static_cast<double>(journal.part_digest_ >> 32),
-        static_cast<double>(journal.part_digest_ & 0xffffffffull)};
-    const std::vector<std::vector<double>> gathered =
-        comm->gatherv(std::span<const double>(mine, 3), 0);
-    if (root) {
-      all_bytes.assign(writers, 0);
-      all_digest.assign(writers, 0);
-      for (std::size_t w = 0; w < writers; ++w) {
-        IMRDMD_REQUIRE_DIMS(gathered[w].size() == 3,
-                            "delta checkpoint manifest slot has the wrong "
-                            "length");
-        all_bytes[w] = static_cast<std::uint64_t>(gathered[w][0]);
-        all_digest[w] =
-            (static_cast<std::uint64_t>(gathered[w][1]) << 32) |
-            static_cast<std::uint64_t>(gathered[w][2]);
-      }
-    }
-  }
-
+  const std::vector<double> mine = {
+      static_cast<double>(journal.part_bytes_),
+      static_cast<double>(journal.part_digest_ >> 32),
+      static_cast<double>(journal.part_digest_ & 0xffffffffull)};
+  const std::vector<std::vector<double>> slots =
+      comm != nullptr ? comm->gatherv(std::span<const double>(mine), 0)
+                      : std::vector<std::vector<double>>{mine};
   if (root) {
     write_file_atomic(path, [&](std::ostream& out) {
-      out.write(kFleetMagic3, sizeof kFleetMagic3);
-      put_header(out, assessor.config_.pipeline_options,
-                 assessor.chunks_processed_, assessor.snapshots_seen_,
-                 assessor.zscore_stage_.state());
-      put_u64(out, assessor.sensors_);
-      put_u64(out, assessor.groups_.size());
-      for (const auto& group : assessor.groups_) {
-        put_u64(out, group.size());
-        for (std::size_t sensor : group) put_u64(out, sensor);
-      }
-      put_u64(out, assessor.stack_.coarse_stride());
-      if (hierarchical) {
-        // The explicit grid + interpolation map: after elastic growth the
-        // grid is no longer the pure function of (groups, stride), so the
-        // container must carry it.
-        const ModelStack& stack = assessor.stack_;
-        put_u64(out, stack.rows_.size());
-        for (std::size_t row : stack.rows_) put_u64(out, row);
-        put_u64(out, stack.interp_.size());
-        for (const auto& ip : stack.interp_) {
-          put_u64(out, ip.lo);
-          put_u64(out, ip.hi);
-          put_f64(out, ip.w);
-        }
-      }
+      put_preamble(out, assessor, writers);
       put_u64(out, journal.epoch_);
-      put_u64(out, writers);
-      for (std::size_t w = 0; w < writers; ++w) {
-        put_u64(out, all_bytes[w]);
-        put_u64(out, all_digest[w]);
+      for (const std::vector<double>& slot : slots) {
+        IMRDMD_REQUIRE_DIMS(slot.size() == 3,
+                            "delta checkpoint manifest slot has the wrong "
+                            "length");
+        put_u64(out, static_cast<std::uint64_t>(slot[0]));
+        put_u64(out, (static_cast<std::uint64_t>(slot[1]) << 32) |
+                         static_cast<std::uint64_t>(slot[2]));
       }
       put_u64(out, journal.base_chunks_);
       put_u64(out, journal.base_position_);
       if (!out) throw Error("delta checkpoint manifest write failed");
     });
   }
-  if (need_base && old_writers > 0) {
-    // Retire every part of the superseded epoch at this path — including
-    // those of writers a resume at fewer ranks no longer has — only after
-    // the new main is durable (the barrier orders every rank's removal
-    // after rank 0's rewrite). A crash before this point merely orphans
-    // files; the main always names its exact parts.
+}
+
+void CheckpointAccess::save_file(const std::string& path, Assessor& assessor) {
+  IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
+                     "cannot checkpoint a fleet before its first chunk");
+  DeltaJournal& journal = assessor.journal_;
+  dist::Communicator* comm = assessor.comm_;
+  const auto writers = static_cast<std::size_t>(assessor.ranks());
+  const auto writer = static_cast<std::size_t>(assessor.rank());
+  if (journal.path_ != path) {
+    // A path this engine has neither written nor loaded: continue the epoch
+    // of the checkpoint already there, so a base write never truncates the
+    // parts its main names, and those parts retire below. Every rank reads
+    // before the save's first collective, so none sees rank 0's rewrite.
+    const auto [epoch, parts] = existing_epoch(path);
+    journal.path_ = path;
+    journal.epoch_ = epoch;
+    journal.writers_ = parts;
+    journal.appendable_ = false;
+  }
+  // The parts the main at `path` names until this save replaces it.
+  const std::size_t old_epoch = journal.epoch_;
+  const std::size_t old_writers = journal.writers_;
+
+  if (assessor.config_.checkpoint_policy.delta) {
+    save_delta(path, assessor);
+  } else {
+    if (writer == 0) {
+      write_file_atomic(path, [&assessor](std::ostream& out) {
+        save_full(&out, assessor);
+      });
+    } else {
+      save_full(nullptr, assessor);  // peers only feed the gather
+    }
+    journal.writers_ = 0;
+  }
+
+  if (old_writers > 0 &&
+      (journal.writers_ == 0 || journal.epoch_ != old_epoch)) {
+    // Retire every part of the superseded epoch — including those of
+    // writers a resume at fewer ranks no longer has — only after the new
+    // main is durable (the barrier orders every rank's removal after rank
+    // 0's rewrite). A crash before this point merely orphans files; the
+    // main always names its exact parts.
     if (comm != nullptr) comm->barrier();
     for (std::size_t w = writer; w < old_writers; w += writers) {
       std::remove(part_path(path, w, old_epoch).c_str());
@@ -984,194 +1002,56 @@ void CheckpointAccess::save_fleet3(const std::string& path,
   }
 }
 
-RestoredAssessor CheckpointAccess::load_fleet3(
-    const std::string& path, BoundedReader& in, dist::Communicator* comm,
-    const AssessorResumeOptions& resume) {
-  ParsedCheckpoint parsed;
-  get_header(in, parsed);
-  parse_fleet_partition(in, parsed);
-
-  parsed.coarse_stride = get_u64(in);
-  if (parsed.coarse_stride > (std::uint64_t{1} << 32)) {
-    throw ParseError("fleet checkpoint coarse stride implausible");
-  }
-  const bool hierarchical = parsed.coarse_stride > 0;
-  if (hierarchical) {
-    const std::uint64_t grid_count = get_u64(in);
-    if (grid_count == 0 || grid_count > parsed.sensors) {
-      throw ParseError("fleet delta coarse grid implausible");
-    }
-    in.require(grid_count * sizeof(std::uint64_t), "fleet delta grid");
-    parsed.coarse_grid_rows.resize(grid_count);
-    for (auto& row : parsed.coarse_grid_rows) {
-      row = static_cast<std::size_t>(get_u64(in));
-      if (row >= parsed.sensors) {
-        throw ParseError("fleet delta coarse grid row out of range");
-      }
-    }
-    const std::uint64_t interp_count = get_u64(in);
-    if (interp_count != parsed.sensors) {
-      throw ParseError("fleet delta interpolation map count mismatch");
-    }
-    in.require(interp_count * (2 * sizeof(std::uint64_t) + sizeof(double)),
-               "fleet delta interpolation map");
-    parsed.interp_lo.resize(interp_count);
-    parsed.interp_hi.resize(interp_count);
-    parsed.interp_w.resize(interp_count);
-    for (std::uint64_t p = 0; p < interp_count; ++p) {
-      parsed.interp_lo[p] = get_u64(in);
-      parsed.interp_hi[p] = get_u64(in);
-      parsed.interp_w[p] = get_f64(in);
-      if (parsed.interp_lo[p] >= grid_count ||
-          parsed.interp_hi[p] >= grid_count) {
-        throw ParseError("fleet delta interpolation row out of range");
-      }
-    }
-  }
-
-  const std::uint64_t epoch = get_u64(in);
-  const std::uint64_t writers = get_u64(in);
-  if (writers == 0 || writers > (std::uint64_t{1} << 20)) {
-    throw ParseError("fleet delta writer count implausible");
-  }
-  in.require(writers * 2 * sizeof(std::uint64_t) + 2 * sizeof(std::uint64_t),
-             "fleet delta manifest");
-  std::vector<std::uint64_t> part_bytes(writers);
-  std::vector<std::uint64_t> part_digest(writers);
-  for (std::uint64_t w = 0; w < writers; ++w) {
-    part_bytes[w] = get_u64(in);
-    part_digest[w] = get_u64(in);
-  }
-  const std::uint64_t base_chunks = get_u64(in);
-  const std::uint64_t base_position = get_u64(in);
-  if (base_chunks == 0 || base_chunks > parsed.chunks_processed ||
-      base_position > parsed.stream_position) {
-    throw ParseError("fleet delta base counters implausible");
-  }
-  const std::size_t record_count =
-      static_cast<std::size_t>(parsed.chunks_processed - base_chunks);
-
-  // Every process reads every part file independently: the base sections
-  // restore in global group order (contiguous old-topology ownership), and
-  // the journaled records replay below at ANY new rank count.
-  std::vector<std::vector<linalg::Mat>> writer_records(writers);
-  std::vector<std::size_t> writer_rows(writers, 0);
-  for (std::size_t w = 0; w < writers; ++w) {
-    const auto range = rank_group_range(parsed.groups.size(), writers, w);
-    for (std::size_t g = range.first; g < range.second; ++g) {
-      writer_rows[w] += parsed.groups[g].size();
-    }
-    std::ifstream file(part_path(path, w, epoch),
-                       std::ios::binary | std::ios::ate);
-    if (!file) {
-      throw ParseError("delta checkpoint part missing: " +
-                       part_path(path, w, epoch));
-    }
-    // Size check BEFORE the allocation: a corrupted manifest length must
-    // fail as a truncated part, not as a giant buffer.
-    const auto actual = file.tellg();
-    if (actual < 0 ||
-        static_cast<std::uint64_t>(actual) < part_bytes[w]) {
-      throw ParseError("delta checkpoint part truncated: " +
-                       part_path(path, w, epoch));
-    }
-    file.seekg(0);
-    std::string data(static_cast<std::size_t>(part_bytes[w]), '\0');
-    file.read(data.data(), static_cast<std::streamsize>(data.size()));
-    if (static_cast<std::uint64_t>(file.gcount()) != part_bytes[w]) {
-      throw ParseError("delta checkpoint part truncated: " +
-                       part_path(path, w, epoch));
-    }
-    // A longer file is fine (a torn append past the manifest's bytes); a
-    // digest mismatch inside them is not.
-    if (fnv1a64(data.data(), data.size()) != part_digest[w]) {
-      throw ParseError("delta checkpoint part digest mismatch: " +
-                       part_path(path, w, epoch));
-    }
-    std::istringstream stream(std::move(data));
-    BoundedReader part(stream);
-    char magic[sizeof kPartMagic];
-    part.read(magic, sizeof magic, "part magic");
-    if (std::memcmp(magic, kPartMagic, sizeof magic) != 0) {
-      throw ParseError("not an imrdmd delta part (bad magic)");
-    }
-    const std::uint64_t sections = get_u64(part);
-    const std::uint64_t expected_sections =
-        (range.second - range.first) +
-        ((w == 0 && hierarchical) ? std::uint64_t{1} : 0);
-    if (sections != expected_sections) {
-      throw ParseError("delta checkpoint part section count mismatch");
-    }
-    if (w == 0 && hierarchical) {
-      parsed.coarse_model =
-          get_model_section(part, "fleet delta coarse section");
-      if (parsed.coarse_model->sensors() != parsed.coarse_grid_rows.size()) {
-        throw ParseError(
-            "fleet delta coarse section row count disagrees with the grid");
-      }
-      if (parsed.coarse_model->time_steps() != base_position) {
-        throw ParseError(
-            "fleet delta base position disagrees with the coarse model");
-      }
-    }
-    for (std::size_t g = range.first; g < range.second; ++g) {
-      parsed.models.push_back(
-          get_model_section(part, "fleet delta model section"));
-      if (parsed.models.back().sensors() != parsed.groups[g].size()) {
-        throw ParseError(
-            "fleet delta section row count disagrees with its group");
-      }
-      if (parsed.models.back().time_steps() != base_position) {
-        throw ParseError(
-            "fleet delta base position disagrees with a group model");
-      }
-    }
-    // Reserve against the bytes actually present, not the (corruptible)
-    // manifest counter — the loop below still parses exactly record_count
-    // records or fails on the bounded reader.
-    writer_records[w].reserve(std::min<std::size_t>(
-        record_count, part.remaining() / (2 * sizeof(std::uint64_t)) + 1));
-    for (std::size_t i = 0; i < record_count; ++i) {
-      linalg::Mat record = get_mat(part);
-      if (record.rows() != writer_rows[w] || record.cols() == 0) {
-        throw ParseError("delta checkpoint record shape mismatch");
-      }
-      writer_records[w].push_back(std::move(record));
-    }
-    if (part.remaining() != 0) {
-      throw ParseError("delta checkpoint part has trailing bytes");
-    }
+RestoredAssessor CheckpointAccess::load(BoundedReader& in,
+                                        const std::string* path,
+                                        dist::Communicator* comm,
+                                        const AssessorResumeOptions& resume) {
+  ParsedCheckpoint parsed = parse_preamble(in);
+  const std::size_t writers = static_cast<std::size_t>(parsed.writers);
+  Manifest manifest;
+  std::vector<std::vector<linalg::Mat>> records;
+  if (writers == 0) {
+    get_section_list(in, parsed, 0, parsed.groups.size(),
+                     parsed.coarse_stride > 0, parsed.stream_position);
+  } else if (path == nullptr) {
+    throw ParseError(
+        "a delta checkpoint references sidecar part files; load it "
+        "through the file-path API");
+  } else {
+    // Every process reads every part file independently: the base sections
+    // restore in global group order, and the journaled records replay
+    // below at ANY new rank count.
+    manifest = get_manifest(in, parsed);
+    records = read_parts(*path, manifest, parsed);
   }
   check_stage_state(parsed);
 
-  // Cross-part consistency: every writer journaled the same chunk
-  // sequence, and together the records span base -> final position.
-  std::vector<std::size_t> record_cols(record_count);
-  std::uint64_t replayed = 0;
-  for (std::size_t i = 0; i < record_count; ++i) {
-    record_cols[i] = writer_records[0][i].cols();
-    for (std::size_t w = 1; w < writers; ++w) {
-      if (writer_records[w][i].cols() != record_cols[i]) {
-        throw ParseError(
-            "delta checkpoint parts disagree on a record's width");
-      }
-    }
-    replayed += record_cols[i];
-  }
-  if (base_position + replayed != parsed.stream_position) {
-    throw ParseError(
-        "delta checkpoint records do not span the recorded stream "
-        "position");
-  }
-
   RestoredAssessor restored = assemble(std::move(parsed), comm, resume);
-  Assessor& assessor = restored.assessor;
+  if (writers > 0) {
+    replay(restored.assessor, records, restored.stream_position);
+  }
+  if (path != nullptr) {
+    // Hand the loaded epoch to the resumed journal: its first save takes a
+    // FRESH epoch (the main read here still references this one, and a
+    // crash mid-rewrite must leave that reference loadable), then retires
+    // every part of this one.
+    DeltaJournal& journal = restored.assessor.journal_;
+    journal.path_ = *path;
+    journal.epoch_ = static_cast<std::size_t>(manifest.epoch);
+    journal.writers_ = writers;
+  }
+  return restored;
+}
 
-  // Replay: each journaled chunk reaches the engine's one sliced fit as this
+void CheckpointAccess::replay(
+    Assessor& assessor, const std::vector<std::vector<linalg::Mat>>& records,
+    std::uint64_t position) {
+  // Each journaled chunk reaches the engine's one sliced fit as this
   // process's owned rows plus the coarse grid rows, gathered from the
   // writers' slices — the identical deterministic operations the live
   // engine ran, so the resumed models are bitwise the live ones. A sensor's
   // row sits in the slice of the writer that owned its group.
+  const std::size_t writers = records.size();
   std::vector<std::pair<std::size_t, std::size_t>> slice_row(
       assessor.sensors_);
   for (std::size_t w = 0; w < writers; ++w) {
@@ -1185,11 +1065,11 @@ RestoredAssessor CheckpointAccess::load_fleet3(
   }
   const auto gather = [&](const std::vector<std::size_t>& sensors,
                           std::size_t record) {
-    const std::size_t cols = record_cols[record];
+    const std::size_t cols = records[0][record].cols();
     linalg::Mat rows(sensors.size(), cols);
     for (std::size_t k = 0; k < sensors.size(); ++k) {
       const auto [w, row] = slice_row[sensors[k]];
-      const double* src = writer_records[w][record].data() + row * cols;
+      const double* src = records[w][record].data() + row * cols;
       std::copy(src, src + cols, rows.data() + k * cols);
     }
     return rows;
@@ -1197,7 +1077,7 @@ RestoredAssessor CheckpointAccess::load_fleet3(
   // (A flat stack's coarse grid is empty, so its coarse rows are too.)
   const std::vector<std::size_t>& owned = assessor.owned_rows_;
   const std::vector<std::size_t>& grid = assessor.stack_.coarse_rows();
-  for (std::size_t i = 0; i < record_count; ++i) {
+  for (std::size_t i = 0; i < records[0].size(); ++i) {
     assessor.fit_owned(gather(owned, i), gather(grid, i), nullptr);
   }
 
@@ -1206,23 +1086,15 @@ RestoredAssessor CheckpointAccess::load_fleet3(
   const std::size_t local_count =
       assessor.local_end_ - assessor.local_begin_;
   for (std::size_t l = 0; l < local_count; ++l) {
-    if (assessor.stack_.fine(l).time_steps() != restored.stream_position) {
+    if (assessor.stack_.fine(l).time_steps() != position) {
       throw ParseError("delta checkpoint replay out of sync with a model");
     }
   }
-  if (hierarchical && assessor.stack_.coarse().time_steps() !=
-                          restored.stream_position) {
+  if (assessor.stack_.hierarchical() &&
+      assessor.stack_.coarse().time_steps() != position) {
     throw ParseError(
         "delta checkpoint replay out of sync with the coarse model");
   }
-  // Hand the loaded epoch to the resumed journal: its first save rewrites
-  // the base under a FRESH epoch (the main file read here still references
-  // this one, and a crash mid-rewrite must leave that reference loadable),
-  // then retires every part of this one.
-  assessor.journal_.path_ = path;
-  assessor.journal_.epoch_ = static_cast<std::size_t>(epoch);
-  assessor.journal_.writers_ = static_cast<std::size_t>(writers);
-  return restored;
 }
 
 RestoredAssessor CheckpointAccess::assemble(
@@ -1238,8 +1110,6 @@ RestoredAssessor CheckpointAccess::assemble(
   config.ingest_options = resume.ingest;
   config.worker_pool = resume.pool;
   config.checkpoint_policy = resume.checkpoint;
-  // The stride always comes from the container ("IMRDFL1"/"IMRDPL1" files
-  // load as stride-disabled flat stacks).
   config.hierarchy(static_cast<std::size_t>(parsed.coarse_stride));
   // The constructor re-validates the partition (disjoint, total cover) and
   // re-derives this process's ownership range — the checkpoint itself
@@ -1257,30 +1127,16 @@ RestoredAssessor CheckpointAccess::assemble(
       assessor.stack_.fine_[l]->options_.mrdmd.parallel_bins = false;
     }
   }
-  if (parsed.coarse_model.has_value()) {
+  if (parsed.coarse_stride > 0) {
     // Every rank restores the full coarse replica (it is replicated at
     // runtime, so every rank needs it regardless of group ownership); the
     // coarse model runs on the caller thread and keeps its own options.
-    *assessor.stack_.coarse_ = std::move(*parsed.coarse_model);
-  }
-  if (!parsed.coarse_grid_rows.empty()) {
-    // V3 explicit hierarchy map: override the canonical grid the
-    // constructor derived — elastic growth appended rows the pure
-    // coarse_grid function cannot reproduce. Canonicality is re-derived,
-    // so an ungrown V3 resave may return to the compact containers.
+    // The explicit hierarchy map replaces the stride grid the constructor
+    // derived, which elastic growth may have extended.
     ModelStack& stack = assessor.stack_;
-    stack.canonical_grid_ =
-        parsed.coarse_grid_rows ==
-        ModelStack::coarse_grid(assessor.groups_,
-                                static_cast<std::size_t>(
-                                    parsed.coarse_stride));
+    *stack.coarse_ = std::move(*parsed.coarse_model);
     stack.rows_ = std::move(parsed.coarse_grid_rows);
-    stack.interp_.assign(parsed.interp_lo.size(), {});
-    for (std::size_t p = 0; p < stack.interp_.size(); ++p) {
-      stack.interp_[p].lo = static_cast<std::size_t>(parsed.interp_lo[p]);
-      stack.interp_[p].hi = static_cast<std::size_t>(parsed.interp_hi[p]);
-      stack.interp_[p].w = parsed.interp_w[p];
-    }
+    stack.interp_ = std::move(parsed.interp);
   }
   assessor.zscore_stage_.restore(std::move(parsed.stage_state));
   assessor.chunks_processed_ =
@@ -1320,98 +1176,52 @@ IncrementalMrdmd load_checkpoint_file(const std::string& path) {
 // --- Assessor ------------------------------------------------------------
 
 void save_assessor_checkpoint(std::ostream& out, const Assessor& assessor) {
-  CheckpointAccess::save_single(out, assessor);
+  CheckpointAccess::save_full(&out, assessor);
 }
 
 void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor) {
-  if (assessor.distributed_topology()) {
-    CheckpointAccess::save_distributed(out, assessor);
-  } else {
-    IMRDMD_REQUIRE_ARG(out != nullptr,
-                       "a single-process save needs an output stream");
-    CheckpointAccess::save_single(*out, assessor);
-  }
+  CheckpointAccess::save_full(out, assessor);
 }
 
 void save_assessor_checkpoint_file(const std::string& path,
                                    Assessor& assessor) {
-  if (assessor.config().checkpoint_policy.delta) {
-    // The delta policy selects the rank-local IMRDFL3 container: every
-    // process writes its own part file (no model-byte gather), rank 0
-    // atomically rewrites the manifest.
-    CheckpointAccess::save_fleet3(path, assessor);
-    return;
-  }
-  if (assessor.distributed_topology() && assessor.rank() != 0) {
-    // Peers only feed the gather; the file belongs to rank 0.
-    CheckpointAccess::save_distributed(nullptr, assessor);
-    return;
-  }
-  write_file_atomic(path, [&assessor](std::ostream& out) {
-    save_assessor_checkpoint(&out, assessor);
-  });
-}
-
-RestoredAssessor load_assessor_checkpoint(std::istream& raw,
-                                          const AssessorResumeOptions& resume) {
-  BoundedReader in(raw);
-  return CheckpointAccess::assemble(parse_any(in), nullptr, resume);
+  CheckpointAccess::save_file(path, assessor);
 }
 
 namespace {
 
-/// Peeks the container magic of an opened checkpoint file: true when it is
-/// the IMRDFL3 delta container (the stream is then positioned after the
-/// magic), false otherwise (the stream is rewound to the start).
-bool peek_fleet3(std::ifstream& in) {
-  char magic[sizeof kFleetMagic3];
-  in.read(magic, sizeof magic);
-  if (in.gcount() == sizeof magic &&
-      std::memcmp(magic, kFleetMagic3, sizeof magic) == 0) {
-    return true;
-  }
-  in.clear();
-  in.seekg(0);
-  return false;
+RestoredAssessor load_file(const std::string& path, dist::Communicator* comm,
+                           const AssessorResumeOptions& resume) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw Error("cannot open checkpoint for reading: " + path);
+  BoundedReader in(file);
+  return CheckpointAccess::load(in, &path, comm, resume);
 }
 
 }  // namespace
 
+RestoredAssessor load_assessor_checkpoint(std::istream& raw,
+                                          const AssessorResumeOptions& resume) {
+  BoundedReader in(raw);
+  return CheckpointAccess::load(in, nullptr, nullptr, resume);
+}
+
 RestoredAssessor load_assessor_checkpoint_file(
     const std::string& path, const AssessorResumeOptions& resume) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open checkpoint for reading: " + path);
-  if (peek_fleet3(in)) {
-    BoundedReader reader(in);
-    return CheckpointAccess::load_fleet3(path, reader, nullptr, resume);
-  }
-  return load_assessor_checkpoint(in, resume);
+  return load_file(path, nullptr, resume);
 }
 
 RestoredAssessor load_assessor_checkpoint(std::istream& raw,
                                           dist::Communicator& comm,
                                           const AssessorResumeOptions& resume) {
   BoundedReader in(raw);
-  return CheckpointAccess::assemble(parse_any(in), &comm, resume);
+  return CheckpointAccess::load(in, nullptr, &comm, resume);
 }
 
 RestoredAssessor load_assessor_checkpoint_file(
     const std::string& path, dist::Communicator& comm,
     const AssessorResumeOptions& resume) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open checkpoint for reading: " + path);
-  if (peek_fleet3(in)) {
-    BoundedReader reader(in);
-    return CheckpointAccess::load_fleet3(path, reader, &comm, resume);
-  }
-  return load_assessor_checkpoint(in, comm, resume);
-}
-
-// --- Legacy container coverage -------------------------------------------
-
-void save_legacy_pipeline_checkpoint(std::ostream& out,
-                                     const Assessor& assessor) {
-  CheckpointAccess::save_pipeline_container(out, assessor);
+  return load_file(path, &comm, resume);
 }
 
 }  // namespace imrdmd::core

@@ -2,42 +2,40 @@
 // engine.
 //
 // The paper's deployment story is a long-running online analysis; a crash
-// must not force re-ingesting weeks of telemetry. One shared serialization
-// codepath, versioned container spellings:
+// must not force re-ingesting weeks of telemetry.
 //
 //   * save_checkpoint writes a versioned binary image of one model
 //     (options, level-1 grid + incremental SVD factors, every tree node,
 //     optional history); load_checkpoint restores a model that continues
 //     partial_fit'ing exactly where the original left off (round-trip
 //     tested to bit-equality of reconstructions).
-//   * save_assessor_checkpoint serializes the engine's full resumable
-//     state (stage options + baseline selection state + chunk counter +
-//     stream position, the group partition, one length-prefixed model
-//     section per group). A flat engine writes the "IMRDFL1" container;
-//     a hierarchical engine writes "IMRDFL2", which inserts the coarse
-//     stride and one coarse-model section between the partition and the
-//     per-group sections. In the distributed topology the save is a
-//     collective gather to rank 0 that writes the SAME bytes as the
-//     single-process save — byte-identical for any lane or rank count.
-//   * Loads accept every container generation: "IMRDPL1" (the retired
-//     monolithic pipeline writer, still producible via
-//     save_legacy_pipeline_checkpoint for coverage) and "IMRDFL1" load as
-//     stride-disabled flat stacks; "IMRDFL2" restores the hierarchy.
+//   * The engine has ONE container, "IMRDFL4", for every topology and both
+//     storages. Its preamble holds the stage options, baseline selection
+//     state, chunk counter, stream position and group partition, then the
+//     coarse stride and, when hierarchical, the explicit coarse grid and
+//     interpolation map (so an elastically grown stack saves like any
+//     other). A writer count follows: 0 is the full save, whose section
+//     list (count, the coarse model first, then one model per group in
+//     global order) follows inline; W >= 1 is the delta save
+//     (CheckpointPolicy::delta), a manifest of W rank-local part files that
+//     each start with the same section list.
+//   * In the distributed topology the full save is a collective gather to
+//     rank 0 that writes the SAME bytes as the single-process save —
+//     byte-identical for any lane or rank count.
+//   * The engine's older container generations have no reader: their
+//     magics fail with ParseError (bad magic).
 //
-// Formats: little-endian, magic "IMRDMD1\n" / "IMRDPL1\n" / "IMRDFL1\n" /
-// "IMRDFL2\n", then length-prefixed sections. Every section is
-// bounds-checked against the remaining stream size before it drives an
-// allocation (BoundedReader discipline), so truncated or corrupted inputs
-// fail with ParseError, never a fantasy-sized allocation. The formats are
-// an implementation detail — only this module reads them. File-level
-// writes go through write_file_atomic (common/atomic_file.hpp): the
-// checkpoint path always holds a complete image, even across a crash
-// mid-save.
+// Little-endian, magic "IMRDMD1\n" (one model) / "IMRDFL4\n" (engine), then
+// length-prefixed sections. Every section is bounds-checked against the
+// remaining stream size before it drives an allocation (BoundedReader
+// discipline), so truncated or corrupted inputs fail with ParseError, never
+// a fantasy-sized allocation. The formats are an implementation detail —
+// only this module reads them. File-level writes go through
+// write_file_atomic (common/atomic_file.hpp): the checkpoint path always
+// holds a complete image, even across a crash mid-save.
 //
-// Cross-loading: a pipeline checkpoint loads as a one-group flat assessor,
-// and any flat container resumes into any topology — the monolithic,
-// sharded, and distributed topologies share one durable representation.
-// The resumed stride always comes from the container.
+// One representation: any container resumes into any topology at any lane
+// or rank count, and the resumed stride always comes from the container.
 #pragma once
 
 #include <cstdint>
@@ -93,12 +91,14 @@ struct RestoredAssessor {
 /// engine must have processed at least one chunk.
 void save_assessor_checkpoint(std::ostream& out, const Assessor& assessor);
 void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor);
-/// Atomic (write-temp-then-rename) on the writing rank; dispatches on the
-/// engine's topology (this is the periodic checkpoint hook's entry point).
-/// Under CheckpointPolicy::delta it writes the rank-local "IMRDFL3"
-/// container through the engine's DeltaJournal (hence the non-const
-/// engine): a base rewrite retires every part of the epoch it supersedes
-/// at `path`, including the epoch a resumed engine was loaded from.
+/// Atomic (write-temp-then-rename) on the writing rank; collective in the
+/// distributed topology (this is the periodic checkpoint hook's entry
+/// point). Writes the full save, or under CheckpointPolicy::delta the
+/// rank-local delta save through the engine's DeltaJournal (hence the
+/// non-const engine). Either one retires, once its main is durable, the
+/// parts of the delta epoch the main it replaces named: the epoch a resumed
+/// engine was loaded from, or the one an engine finds at a path it has not
+/// written before, whose next epoch it then takes.
 void save_assessor_checkpoint_file(const std::string& path,
                                    Assessor& assessor);
 
@@ -112,23 +112,13 @@ RestoredAssessor load_assessor_checkpoint_file(
 /// Restores a distributed-topology engine. NOT collective (no
 /// communication): every rank parses the container independently and keeps
 /// only the models of the groups it owns under rank_group_range — a
-/// checkpoint written at any rank count (including a single-process or
-/// pipeline checkpoint) resumes at any other rank count.
+/// checkpoint written at any rank count (including a single-process one)
+/// resumes at any other rank count.
 RestoredAssessor load_assessor_checkpoint(
     std::istream& in, dist::Communicator& comm,
     const AssessorResumeOptions& resume = {});
 RestoredAssessor load_assessor_checkpoint_file(
     const std::string& path, dist::Communicator& comm,
     const AssessorResumeOptions& resume = {});
-
-// --- Legacy container coverage -------------------------------------------
-
-/// Writes the retired monolithic drivers' "IMRDPL1" container over a flat
-/// monolithic engine (one identity group, no hierarchy) — kept so the
-/// pre-Assessor on-disk generation stays producible for the format-compat
-/// round-trip tests; every load path above accepts it. InvalidArgument for
-/// a sharded, distributed, hierarchical, or unstarted engine.
-void save_legacy_pipeline_checkpoint(std::ostream& out,
-                                     const Assessor& assessor);
 
 }  // namespace imrdmd::core

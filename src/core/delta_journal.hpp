@@ -1,7 +1,8 @@
-// Bookkeeping of the rank-local delta checkpoint container ("IMRDFL3",
-// core/checkpoint.hpp). Part of the checkpoint module: the engine owns one
-// DeltaJournal and only hands it each processed chunk's owned raw rows;
-// every other field is read and written by core/checkpoint.cpp alone.
+// Bookkeeping of an engine's checkpoint files (core/checkpoint.hpp): the
+// delta epoch the main at its path names, for full and delta saves alike,
+// and the delta save's journal. Part of the checkpoint module: the engine
+// owns one DeltaJournal and only hands it each processed chunk's owned raw
+// rows; every other field is read and written by core/checkpoint.cpp alone.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +34,10 @@ class DeltaJournal {
 
   /// Owned raw rows of each chunk processed since the last save.
   std::vector<linalg::Mat> pending_;
-  /// The checkpoint path whose epoch this journal last wrote or loaded
-  /// (empty before either), that epoch's id, and its writer count — the
-  /// parts a base rewrite at the same path retires.
+  /// The checkpoint path this journal last wrote, loaded or found a main
+  /// at (empty before any), the delta epoch that main names, and its
+  /// writer count (0 when it names no parts) — the parts the next base
+  /// rewrite or full save at the same path retires.
   std::string path_;
   std::size_t epoch_ = 0;
   std::size_t writers_ = 0;

@@ -157,7 +157,6 @@ Mat ModelStack::grow_coarse(const std::vector<std::size_t>& new_sensors,
     std::copy(src, src + cols, coarse_history.data() + appended * cols);
     ++appended;
   }
-  canonical_grid_ = false;
 
   // Self-contained interpolation map for the block (existing sensors keep
   // their frozen map): the same per-position rule enable_coarse applies to

@@ -106,17 +106,6 @@ QrResult thin_qr(const Mat& a) {
   return result;
 }
 
-Mat qr_r_only(const Mat& a) {
-  IMRDMD_REQUIRE_DIMS(a.rows() >= a.cols(), "qr_r_only requires rows >= cols");
-  Mat work = a;
-  std::vector<double> taus;
-  householder_factor(work, taus);
-  std::vector<double> signs;
-  Mat r;
-  extract_r_into(work, signs, r);
-  return r;
-}
-
 std::vector<double> solve_upper(const Mat& r, std::span<const double> b) {
   IMRDMD_REQUIRE_DIMS(r.rows() == r.cols() && r.rows() == b.size(),
                       "solve_upper shape mismatch");

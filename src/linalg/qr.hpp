@@ -32,9 +32,6 @@ struct QrWorkspace {
 /// temporary and both output factors reuse caller-provided storage.
 void thin_qr_into(const Mat& a, QrResult& out, QrWorkspace& ws);
 
-/// R factor only (same sign convention); cheaper when Q is not needed.
-Mat qr_r_only(const Mat& a);
-
 /// Solves the upper-triangular system R x = b by back substitution.
 /// Throws NumericalError when a diagonal entry is ~0 relative to ||R||.
 std::vector<double> solve_upper(const Mat& r, std::span<const double> b);

@@ -2,8 +2,7 @@
 // ingestion queue, topology invariance (monolithic / sharded / distributed
 // produce one bitwise-identical stream), the run_until stop-condition
 // surface, the fail-fast unresumable-checkpoint and armed-policy-without-
-// path validations, and the assessor checkpoint API (including the legacy
-// IMRDPL1 container, still producible for format coverage).
+// path validations, and the assessor checkpoint API.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -47,14 +46,6 @@ PipelineOptions assessor_pipeline_options() {
 Mat assessor_data() {
   Rng rng(7);
   return planted_multiscale(15, 384, 0.02, rng);
-}
-
-void expect_bitwise_equal(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "index " << i;
-  }
 }
 
 std::vector<AssessmentSnapshot> collect_run(Assessor& assessor,
@@ -386,8 +377,8 @@ void checkpoint_round_trips_and_resaves_byte_identically(std::size_t stride) {
   // Serialization is a pure function of the engine's resumable state: a
   // load-then-resave reproduces the container byte for byte, and the
   // restored engine continues the stream bitwise-identically. The
-  // hierarchical stride exercises the IMRDFL2 container through the same
-  // assertions.
+  // hierarchical stride exercises the coarse section and the hierarchy map
+  // through the same assertions.
   const Mat data = assessor_data();
   const auto groups = core::contiguous_groups(data.rows(), 3);
 
@@ -422,68 +413,6 @@ void checkpoint_round_trips_and_resaves_byte_identically(std::size_t stride) {
 
 TEST(Assessor, CheckpointRoundTripsAndResavesByteIdentically) {
   for_each_stride(checkpoint_round_trips_and_resaves_byte_identically);
-}
-
-TEST(Assessor, LegacyPipelineCheckpointResumesThroughTheEngine) {
-  // The retired monolithic drivers' IMRDPL1 container still loads: bytes
-  // written by save_legacy_pipeline_checkpoint resume as a one-group flat
-  // engine whose continuation matches the uninterrupted flat reference.
-  const Mat data = assessor_data();
-  Assessor reference(
-      AssessorConfig{}.pipeline(assessor_pipeline_options()).hierarchy(0));
-  MatChunkSource source(data, 256, 64);
-  const auto expected = collect_run(reference, source);
-  ASSERT_EQ(expected.size(), 3u);
-
-  Assessor doomed(
-      AssessorConfig{}.pipeline(assessor_pipeline_options()).hierarchy(0));
-  MatChunkSource replay(data, 256, 64);
-  CollectingSink doomed_sink;
-  StopCondition two;
-  two.max_chunks = 2;
-  doomed.run_until(replay, doomed_sink, two);
-  std::stringstream buffer;
-  core::save_legacy_pipeline_checkpoint(buffer, doomed);
-  EXPECT_EQ(buffer.str().substr(0, 8), "IMRDPL1\n");
-
-  core::RestoredAssessor restored = core::load_assessor_checkpoint(buffer);
-  EXPECT_EQ(restored.assessor.chunks_processed(), 2u);
-  EXPECT_FALSE(restored.assessor.hierarchical());
-  MatChunkSource rest(data, 256, 64);
-  rest.seek(static_cast<std::size_t>(restored.stream_position));
-  const auto after = collect_run(restored.assessor, rest);
-  ASSERT_EQ(after.size(), 1u);
-  expect_bitwise_equal(after[0].magnitudes, expected[2].magnitudes);
-  expect_bitwise_equal(after[0].zscores.zscores,
-                       expected[2].zscores.zscores);
-}
-
-TEST(Assessor, LegacyPipelineContainerRefusesNonFlatEngines) {
-  const Mat data = assessor_data();
-  // Sharded engine: the one-model container cannot hold the partition.
-  Assessor sharded(AssessorConfig{}
-                       .pipeline(assessor_pipeline_options())
-                       .sharded(core::contiguous_groups(data.rows(), 3))
-                       .sensors(data.rows())
-                       .hierarchy(0));
-  sharded.process(data.block(0, 0, data.rows(), 256));
-  std::stringstream buffer;
-  EXPECT_THROW(core::save_legacy_pipeline_checkpoint(buffer, sharded),
-               InvalidArgument);
-
-  // Hierarchical engine: the legacy container predates the coarse level.
-  Assessor hierarchical(AssessorConfig{}
-                            .pipeline(assessor_pipeline_options())
-                            .hierarchy(4));
-  hierarchical.process(data.block(0, 0, data.rows(), 256));
-  EXPECT_THROW(core::save_legacy_pipeline_checkpoint(buffer, hierarchical),
-               InvalidArgument);
-
-  // Unstarted engine: nothing to serialize yet.
-  Assessor unstarted(
-      AssessorConfig{}.pipeline(assessor_pipeline_options()).hierarchy(0));
-  EXPECT_THROW(core::save_legacy_pipeline_checkpoint(buffer, unstarted),
-               InvalidArgument);
 }
 
 void zero_column_chunk_mid_stream_fails_instead_of_truncating(
@@ -538,10 +467,10 @@ void periodic_checkpoint_hook_writes_portable_bytes(std::size_t stride) {
   // topology, writes the same container the single-process hook writes —
   // and a single-process engine resumes it bitwise.
   //
-  // Byte-identity across rank counts is a claim about the *full*
-  // containers, so delta is pinned off here (the IMRDFL3 manifest names
-  // one rank-local part per writer by design; its portability claim —
-  // resume at any rank count — is covered by the FL3 fleet tests).
+  // Byte-identity across rank counts is a claim about the *full* save, so
+  // delta is pinned off here (the delta manifest names one rank-local part
+  // per writer by design; its portability claim — resume at any rank
+  // count — is covered by the delta fleet tests).
   const Mat data = assessor_data();
   const auto groups = core::contiguous_groups(data.rows(), 3);
   const std::string dist_path = ::testing::TempDir() + "/dist_assessor.ckpt";

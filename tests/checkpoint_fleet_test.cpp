@@ -1,7 +1,8 @@
 // Assessor checkpoint durability: mid-stream kill-and-resume bitwise
-// identity (for any checkpoint index and any resume lane count), the legacy
-// IMRDPL1 pipeline container, truncation/corruption fuzz on the engine
-// container, and the atomic write-temp-then-rename discipline.
+// identity (for any checkpoint index and any resume lane count, monolithic
+// included), truncation/corruption fuzz on the engine container and its
+// delta parts, epoch bookkeeping across engines sharing a path, and the
+// atomic write-temp-then-rename discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,9 +217,8 @@ TEST(FleetCheckpoint, UnstartedEngineRejected) {
 }
 
 TEST(PipelineCheckpoint, KilledRunResumesBitwiseIdentical) {
-  // The legacy IMRDPL1 container still round-trips a flat monolithic
-  // engine (hierarchy pinned off: the one-model container predates the
-  // coarse level).
+  // A flat monolithic engine (one identity group) resumes from the engine
+  // container bitwise.
   const Mat data = checkpoint_data();
   Assessor reference(
       AssessorConfig{}.pipeline(checkpoint_pipeline_options()).hierarchy(0));
@@ -231,7 +231,7 @@ TEST(PipelineCheckpoint, KilledRunResumesBitwiseIdentical) {
   MatChunkSource replay(data, 256, 64);
   run_collect(doomed, replay, 2);
   std::stringstream buffer;
-  core::save_legacy_pipeline_checkpoint(buffer, doomed);
+  core::save_assessor_checkpoint(buffer, doomed);
 
   core::RestoredAssessor restored = core::load_assessor_checkpoint(buffer);
   EXPECT_EQ(restored.assessor.chunks_processed(), 2u);
@@ -260,7 +260,7 @@ TEST(PipelineCheckpoint, StickyBaselineSurvivesResume) {
   MatChunkSource replay(data, 256, 64);
   run_collect(doomed, replay, 1);
   std::stringstream buffer;
-  core::save_legacy_pipeline_checkpoint(buffer, doomed);
+  core::save_assessor_checkpoint(buffer, doomed);
   core::RestoredAssessor restored = core::load_assessor_checkpoint(buffer);
   MatChunkSource rest(data, 256, 64);
   rest.seek(static_cast<std::size_t>(restored.stream_position));
@@ -272,35 +272,6 @@ TEST(PipelineCheckpoint, StickyBaselineSurvivesResume) {
     EXPECT_EQ(after[i].zscores.baseline_sensors,
               expected[1 + i].zscores.baseline_sensors);
   }
-}
-
-TEST(PipelineCheckpoint, LegacyAndUnifiedContainersResumeIdentically) {
-  // The shared-representation acceptance bar, restated for the unified
-  // engine: the same flat monolithic state saved through the legacy
-  // IMRDPL1 container and the unified IMRDFL1 container resumes to the
-  // same engine — both continuations are bitwise identical.
-  const Mat data = checkpoint_data();
-  Assessor engine(
-      AssessorConfig{}.pipeline(checkpoint_pipeline_options()).hierarchy(0));
-  MatChunkSource source(data, 256, 64);
-  run_collect(engine, source, 2);
-
-  std::stringstream legacy_bytes;
-  core::save_legacy_pipeline_checkpoint(legacy_bytes, engine);
-  std::stringstream unified_bytes;
-  core::save_assessor_checkpoint(unified_bytes, engine);
-  EXPECT_EQ(legacy_bytes.str().substr(0, 8), "IMRDPL1\n");
-  EXPECT_EQ(unified_bytes.str().substr(0, 8), "IMRDFL1\n");
-  ASSERT_NE(legacy_bytes.str(), unified_bytes.str());
-
-  core::RestoredAssessor from_legacy =
-      core::load_assessor_checkpoint(legacy_bytes);
-  core::RestoredAssessor from_unified =
-      core::load_assessor_checkpoint(unified_bytes);
-  EXPECT_EQ(from_legacy.stream_position, from_unified.stream_position);
-  const Mat chunk = data.block(0, 320, data.rows(), 64);
-  expect_snapshot_equal(from_legacy.assessor.process(chunk),
-                        from_unified.assessor.process(chunk));
 }
 
 // --- truncation / corruption fuzz on the engine container ----------------
@@ -334,6 +305,14 @@ void every_truncation_point_yields_parse_error(std::size_t stride) {
     EXPECT_THROW(core::load_assessor_checkpoint(truncated), ParseError)
         << "prefix of " << cut << " bytes";
   }
+  // The retired container generations have no reader: behind their magics
+  // even a well-formed body is foreign input.
+  for (const char* magic :
+       {"IMRDPL1\n", "IMRDFL1\n", "IMRDFL2\n", "IMRDFL3\n"}) {
+    std::stringstream retired(magic + bytes.substr(8));
+    EXPECT_THROW(core::load_assessor_checkpoint(retired), ParseError)
+        << magic;
+  }
 }
 
 TEST(FleetCheckpoint, EveryTruncationPointYieldsParseError) {
@@ -345,9 +324,8 @@ void corrupt_baseline_population_rejected_at_load(std::size_t stride) {
   // chunks later as a DimensionError inside the resumed stream's first
   // z-scoring. The first population index sits at a fixed offset: magic
   // (8) + 8 stage-option words (64) + chunk/position words (16) +
-  // selected_once + count (16) = 104. (The V2 hierarchy section is
-  // appended after the groups section, so the offset holds for both
-  // container versions.)
+  // selected_once + count (16) = 104. (The hierarchy map follows the
+  // groups section, so the offset holds flat and hierarchical.)
   const std::string bytes = small_fleet_bytes(stride);
   std::string corrupt = bytes;
   const std::uint64_t huge = std::uint64_t{1} << 20;
@@ -502,7 +480,7 @@ TEST(DistributedFleetCheckpoint, TruncationRejectedAtEveryRankCount) {
 
 void corrupt_words_rejected_at_every_rank_count(std::size_t stride) {
   // Sparse word-flip fuzz on the distributed load path. The parser is the
-  // same parse_any the dense single-process fuzz above hammers at every
+  // same one the dense single-process fuzz above hammers at every
   // offset; this pass samples offsets to keep the world spawns cheap while
   // still covering the distributed assembly (ownership slicing) on
   // corrupted parses.
@@ -527,7 +505,7 @@ TEST(DistributedFleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
   for_each_stride(corrupt_words_rejected_at_every_rank_count);
 }
 
-// --- rank-local delta checkpoints (IMRDFL3) ------------------------------
+// --- rank-local delta checkpoints ----------------------------------------
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -548,7 +526,7 @@ core::CheckpointPolicy delta_policy(std::size_t every,
   return policy;
 }
 
-void remove_fl3(const std::string& path) {
+void remove_with_parts(const std::string& path) {
   std::remove(path.c_str());
   for (int w = 0; w < 4; ++w) {
     for (int e = 1; e < 6; ++e) {
@@ -571,7 +549,7 @@ TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
     ASSERT_EQ(reference.size(), 3u);
 
     const std::string path = ::testing::TempDir() + "/delta_fleet.ckpt";
-    remove_fl3(path);
+    remove_with_parts(path);
     AssessorConfig doomed = config;
     doomed.checkpoint(delta_policy(1, path));
     Assessor engine(doomed);
@@ -579,9 +557,9 @@ TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
     const auto before = run_collect(engine, source, 2);
     ASSERT_EQ(before.size(), 2u);
 
-    // The main file is the new container; the model bytes live in the
+    // The main file is the engine container; the model bytes live in the
     // writer's epoch-named part next to it.
-    EXPECT_EQ(read_file(path).substr(0, 8), "IMRDFL3\n");
+    EXPECT_EQ(read_file(path).substr(0, 8), "IMRDFL4\n");
     EXPECT_TRUE(std::filesystem::exists(path + ".r0.e1"));
 
     // Resume with the journal armed: the continued run matches the
@@ -605,14 +583,14 @@ TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
         core::load_assessor_checkpoint_file(path);
     EXPECT_EQ(again.assessor.chunks_processed(), 3u);
     EXPECT_EQ(again.stream_position, 384u);
-    remove_fl3(path);
+    remove_with_parts(path);
   }
 }
 
 void delta_save_appends_instead_of_rewriting_the_base(std::size_t stride) {
   const Mat data = checkpoint_data();
   const std::string path = ::testing::TempDir() + "/delta_append.ckpt";
-  remove_fl3(path);
+  remove_with_parts(path);
   AssessorConfig config;
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 5))
@@ -640,7 +618,7 @@ void delta_save_appends_instead_of_rewriting_the_base(std::size_t stride) {
   EXPECT_EQ(appended_main, base_main);
 
   // A growth event forces the next save to compact into a fresh base.
-  remove_fl3(path);
+  remove_with_parts(path);
 }
 
 TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
@@ -651,7 +629,7 @@ void delta_fuzz_rejects_truncation_corruption_and_missing_parts(
     std::size_t stride) {
   const Mat data = checkpoint_data();
   const std::string path = ::testing::TempDir() + "/delta_fuzz.ckpt";
-  remove_fl3(path);
+  remove_with_parts(path);
   AssessorConfig config;
   config.pipeline(checkpoint_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 5))
@@ -720,7 +698,7 @@ void delta_fuzz_rejects_truncation_corruption_and_missing_parts(
   write_file(part_name, part_bytes + "torn append garbage");
   core::RestoredAssessor restored = core::load_assessor_checkpoint_file(path);
   EXPECT_EQ(restored.assessor.chunks_processed(), 3u);
-  remove_fl3(path);
+  remove_with_parts(path);
 }
 
 TEST(FleetCheckpoint, DeltaFuzzRejectsTruncationCorruptionAndMissingParts) {
@@ -741,7 +719,7 @@ TEST(DistributedFleetCheckpoint, DeltaPartsResumeAtAnyRankCount) {
     // Kill a 2-rank run after two chunks: each rank wrote ITS OWN part
     // (no gatherv of model bytes through rank 0).
     const std::string path = ::testing::TempDir() + "/delta_dist.ckpt";
-    remove_fl3(path);
+    remove_with_parts(path);
     {
       dist::World world(2);
       world.run([&](dist::Communicator& comm) {
@@ -789,7 +767,7 @@ TEST(DistributedFleetCheckpoint, DeltaPartsResumeAtAnyRankCount) {
         expect_snapshot_equal(after[0], reference[2]);
       });
     }
-    remove_fl3(path);
+    remove_with_parts(path);
   }
 }
 
@@ -815,7 +793,7 @@ TEST(DistributedFleetCheckpoint, DeltaResumeRetiresTheLoadedEpochsParts) {
       SCOPED_TRACE("stride " + std::to_string(stride) + ", 2 -> " +
                    std::to_string(resumed_ranks) + " ranks");
       const std::string path = ::testing::TempDir() + "/delta_retire.ckpt";
-      remove_fl3(path);
+      remove_with_parts(path);
       AssessorConfig config;
       config.pipeline(checkpoint_pipeline_options())
           .sharded(core::contiguous_groups(data.rows(), 5))
@@ -861,21 +839,86 @@ TEST(DistributedFleetCheckpoint, DeltaResumeRetiresTheLoadedEpochsParts) {
       core::RestoredAssessor resaved =
           core::load_assessor_checkpoint_file(path);
       EXPECT_EQ(resaved.assessor.chunks_processed(), 3u);
-      remove_fl3(path);
+      remove_with_parts(path);
     }
   }
 }
 
+void fresh_engine_continues_the_delta_epoch_it_finds(std::size_t stride) {
+  // An engine saving to a path it has neither written nor loaded takes the
+  // epoch after the one the checkpoint already there names, and retires
+  // that checkpoint's parts once its own main is durable.
+  const Mat data = checkpoint_data();
+  const std::string path = ::testing::TempDir() + "/delta_fresh.ckpt";
+  const std::string crashed = ::testing::TempDir() + "/delta_crashed.ckpt";
+  const std::string kept = ::testing::TempDir() + "/delta_kept_part";
+  remove_with_parts(path);
+  remove_with_parts(crashed);
+  std::remove(kept.c_str());
+  const auto run_fresh = [&](std::size_t initial, bool delta) {
+    AssessorConfig config;
+    config.pipeline(checkpoint_pipeline_options())
+        .sharded(core::contiguous_groups(data.rows(), 5))
+        .sensors(data.rows())
+        .hierarchy(stride)
+        .checkpoint(core::CheckpointPolicy{1, path}.with_delta(delta));
+    Assessor engine(config);
+    MatChunkSource source(data, initial, 64);
+    run_collect(engine, source, 1);
+  };
+
+  run_fresh(256, true);
+  const std::string first_main = read_file(path);
+  std::filesystem::create_hard_link(path + ".r0.e1", kept);
+
+  // A second fresh engine with a different base. Had it died between its
+  // part write and its main rename, the first main would still be in
+  // place, so the part that main names must not be rewritten under it.
+  run_fresh(320, true);
+  EXPECT_EQ(checkpoint_files(path).size(), 2u);  // the main and its part
+  write_file(crashed, first_main);
+  std::filesystem::create_hard_link(kept, crashed + ".r0.e1");
+  EXPECT_NO_THROW(core::load_assessor_checkpoint_file(crashed));
+
+  // The epoch a resumed run ended on retires under the next fresh engine.
+  {
+    AssessorResumeOptions resume;
+    resume.checkpoint = delta_policy(1, path);
+    core::RestoredAssessor restored =
+        core::load_assessor_checkpoint_file(path, resume);
+    MatChunkSource rest(data, 256, 64);
+    rest.seek(static_cast<std::size_t>(restored.stream_position));
+    run_collect(restored.assessor, rest, 1);
+  }
+  run_fresh(256, true);
+  EXPECT_EQ(checkpoint_files(path).size(), 2u);
+
+  // A full save over a delta checkpoint retires its parts too.
+  run_fresh(256, false);
+  EXPECT_EQ(checkpoint_files(path),
+            std::vector<std::string>{"delta_fresh.ckpt"});
+  EXPECT_EQ(core::load_assessor_checkpoint_file(path)
+                .assessor.chunks_processed(),
+            1u);
+  remove_with_parts(path);
+  remove_with_parts(crashed);
+  std::remove(kept.c_str());
+}
+
+TEST(FleetCheckpoint, FreshEngineContinuesTheDeltaEpochItFinds) {
+  for_each_stride(fresh_engine_continues_the_delta_epoch_it_finds);
+}
+
 TEST(FleetCheckpoint, GrownHierarchicalStackRoundTripsThroughDelta) {
-  // The elastic case only the delta container can hold: a grown coarse
-  // grid (non-canonical) persists through the explicit grid + interp table
-  // in the IMRDFL3 manifest, and the resumed engine continues bitwise.
+  // A grown coarse grid (no longer the stride grid) persists through the
+  // explicit grid + interp table in the delta main, and the resumed engine
+  // continues bitwise.
   Rng rng(23);
   const Mat data = planted_multiscale(18, 384, 0.02, rng);
   PipelineOptions pipeline = checkpoint_pipeline_options();
   pipeline.imrdmd.keep_history = true;
   const std::string path = ::testing::TempDir() + "/delta_grown.ckpt";
-  remove_fl3(path);
+  remove_with_parts(path);
 
   auto make_engine = [&](const std::string& checkpoint_path) {
     AssessorConfig config;
@@ -908,7 +951,7 @@ TEST(FleetCheckpoint, GrownHierarchicalStackRoundTripsThroughDelta) {
   EXPECT_TRUE(restored.assessor.hierarchical());
   expect_snapshot_equal(restored.assessor.process(data.block(0, 320, 18, 64)),
                         expected);
-  remove_fl3(path);
+  remove_with_parts(path);
 }
 
 // --- atomic file-level writes -------------------------------------------

@@ -122,7 +122,7 @@ TEST(ParallelDeterminism, EngineSnapshotsMatchSerialBitwise) {
 // compared at the byte level, stricter than value equality (0.0 vs -0.0
 // or NaN payloads would slip through EXPECT_EQ on doubles) — across every
 // rank x lane combination, flat and with the coarse level in play (and
-// its IMRDFL2 container).
+// its hierarchy map and coarse section in the container).
 void fleet_zscores_and_checkpoints_are_byte_identical(std::size_t stride) {
   Rng rng(24);
   const Mat data = planted_multiscale(12, 384, 0.02, rng);

@@ -380,7 +380,8 @@ TEST(DistributedFleetElastic, ArgumentDisagreementFailsEveryRankTogether) {
   for_each_stride(argument_disagreement_fails_every_rank_together);
 }
 
-TEST(DistributedFleetElastic, GrownHierarchicalStackRefusesLegacySave) {
+TEST(DistributedFleetElastic,
+     GrownHierarchicalStackRoundTripsThroughTheFullSave) {
   const Mat data = elastic_data();
   AssessorConfig config;
   config.pipeline(elastic_pipeline_options())
@@ -390,12 +391,18 @@ TEST(DistributedFleetElastic, GrownHierarchicalStackRefusesLegacySave) {
   Assessor assessor(config);
   assessor.process(data.block(0, 0, 15, 256));
   assessor.add_sensors(4, data.block(15, 0, 3, 256));
-  // The grown coarse grid is no longer the canonical stride grid, which
-  // the IMRDFL1/IMRDFL2 containers cannot express; only the delta
-  // (IMRDFL3) container can carry it.
-  std::ostringstream buffer;
-  EXPECT_THROW(core::save_assessor_checkpoint(buffer, assessor),
-               InvalidArgument);
+  // The grown coarse grid is no longer the stride grid of the partition;
+  // the container carries the grid and its interpolation map explicitly,
+  // so the full save holds it like any other.
+  std::stringstream buffer;
+  core::save_assessor_checkpoint(buffer, assessor);
+  core::RestoredAssessor restored = core::load_assessor_checkpoint(buffer);
+  std::stringstream resaved;
+  core::save_assessor_checkpoint(resaved, restored.assessor);
+  EXPECT_EQ(resaved.str(), buffer.str());
+  const Mat chunk = data.block(0, 256, 18, 64);
+  imrdmd::testing::expect_snapshot_equal(restored.assessor.process(chunk),
+                                         assessor.process(chunk));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Two-level multifidelity hierarchy: the deterministic coarse grid, the
 // two-level z-score reconciliation, flat-mode bitwise identity with the
 // direct model composition, hierarchy bitwise invariance across lanes x
-// prefetch depths x ranks, and the versioned IMRDFL2 checkpoint container
-// (round-trip, rank-count byte invariance, and truncation/corruption fuzz
-// through the coarse section).
+// prefetch depths x ranks, and the hierarchy in the engine checkpoint
+// container (round-trip, rank-count byte invariance, and
+// truncation/corruption fuzz through the hierarchy map and coarse section).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -423,7 +423,8 @@ std::string small_hierarchy_bytes() {
 
 TEST(FleetCheckpoint, HierarchyUsesTheVersionedContainerMagic) {
   const Mat data = hierarchy_data();
-  // Flat engines keep writing the V1 magic — old readers stay compatible.
+  // One container for flat and hierarchical engines alike: the stride word
+  // and the hierarchy map, not the magic, tell them apart.
   AssessorConfig flat;
   flat.pipeline(hierarchy_pipeline_options())
       .sharded(core::contiguous_groups(data.rows(), 3))
@@ -434,9 +435,8 @@ TEST(FleetCheckpoint, HierarchyUsesTheVersionedContainerMagic) {
   run_collect(flat_engine, source, 1);
   std::stringstream flat_bytes;
   core::save_assessor_checkpoint(flat_bytes, flat_engine);
-  EXPECT_EQ(flat_bytes.str().substr(0, 8), "IMRDFL1\n");
-  // Hierarchical engines write V2.
-  EXPECT_EQ(small_hierarchy_bytes().substr(0, 8), "IMRDFL2\n");
+  EXPECT_EQ(flat_bytes.str().substr(0, 8), "IMRDFL4\n");
+  EXPECT_EQ(small_hierarchy_bytes().substr(0, 8), "IMRDFL4\n");
 }
 
 TEST(FleetCheckpoint, HierarchyRoundTripsResavesAndResumesBitwise) {
@@ -474,8 +474,9 @@ TEST(FleetCheckpoint, HierarchyRoundTripsResavesAndResumesBitwise) {
 }
 
 TEST(FleetCheckpoint, HierarchyEveryTruncationPointYieldsParseError) {
-  // The dense truncation fuzz, through the V2 container: every prefix —
-  // including cuts inside the stride word and the coarse model section —
+  // The dense truncation fuzz, through a hierarchical container: every
+  // prefix — including cuts inside the hierarchy map and the coarse model
+  // section —
   // must fail as ParseError, never a crash or a partial load.
   const std::string bytes = small_hierarchy_bytes();
   ASSERT_GT(bytes.size(), 64u);
@@ -488,8 +489,8 @@ TEST(FleetCheckpoint, HierarchyEveryTruncationPointYieldsParseError) {
 }
 
 TEST(FleetCheckpoint, HierarchyCorruptWordsRejectedWithoutHugeAllocation) {
-  // All-ones word flips at every u64 offset of the V2 container: the
-  // coarse section's length prefixes and the stride word must be bounded
+  // All-ones word flips at every u64 offset of a hierarchical container:
+  // the coarse section's length prefix and the hierarchy map must be bounded
   // like every other section — throw a library Error or load, never OOM.
   const std::string bytes = small_hierarchy_bytes();
   for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8) {
@@ -506,7 +507,7 @@ TEST(FleetCheckpoint, HierarchyCorruptWordsRejectedWithoutHugeAllocation) {
 }
 
 TEST(DistributedFleetCheckpoint, HierarchyBytesAreRankCountInvariant) {
-  // V2 bytes are a pure function of the engine state: a distributed
+  // Hierarchical bytes are a pure function of the engine state: a distributed
   // hierarchical run checkpoints byte-identically to the single-process
   // engine at any rank count, and the bytes resume at a different rank
   // count bitwise.
@@ -523,7 +524,7 @@ TEST(DistributedFleetCheckpoint, HierarchyBytesAreRankCountInvariant) {
       .hierarchy(2);
 
   const std::string reference = small_hierarchy_bytes();
-  ASSERT_EQ(reference.substr(0, 8), "IMRDFL2\n");
+  ASSERT_EQ(reference.substr(0, 8), "IMRDFL4\n");
 
   for (const int ranks : {2, 3}) {
     dist::World world(ranks);

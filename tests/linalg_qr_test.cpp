@@ -36,14 +36,6 @@ TEST(Qr, RIsUpperTriangularWithNonNegativeDiagonal) {
   }
 }
 
-TEST(Qr, ROnlyMatchesFullFactorization) {
-  Rng rng(4);
-  const Mat a = random_matrix(12, 5, rng);
-  const Mat r = qr_r_only(a);
-  const QrResult f = thin_qr(a);
-  EXPECT_LT(max_abs_diff(r, f.r), 1e-12);
-}
-
 TEST(Qr, HandlesRankDeficiency) {
   // Two identical columns: R gets a ~0 diagonal, A = QR must still hold.
   Mat a(6, 2);
