@@ -5,14 +5,11 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "dmd/dmd.hpp"
 #include "linalg/blas.hpp"
 
 namespace imrdmd::core {
 
 namespace {
-
-constexpr double kTwoPi = 6.283185307179586476925287;
 
 // Batch-refits the descendant levels (>= 2) of a tree whose root is given:
 // subtract the root's reconstruction from `data`, split the timeline in
@@ -60,15 +57,10 @@ void IncrementalMrdmd::initial_fit(const Mat& data) {
   time_steps_ = data.cols();
   stride1_ = data.cols() / nyq;
 
-  // Level-1 subsample grid and its incrementally maintained SVD.
-  const std::size_t k = (data.cols() + stride1_ - 1) / stride1_;
-  grid_ = Mat(sensors_, k);
-  for (std::size_t r = 0; r < sensors_; ++r) {
-    for (std::size_t j = 0; j < k; ++j) {
-      grid_(r, j) = data(r, j * stride1_);
-    }
-  }
-  isvd_.initialize(grid_.block(0, 0, sensors_, k - 1));  // X = grid[:, :-1]
+  // Level-1 subsample grid and the incrementally maintained SVD of
+  // X = grid[:, :-1].
+  grid_ = subsample(data, 0, data.cols(), stride1_);
+  isvd_.initialize(grid_.block(0, 0, sensors_, grid_.cols() - 1));
 
   nodes_.clear();
   nodes_.emplace_back();  // root placeholder; refresh_root fills it
@@ -80,7 +72,7 @@ void IncrementalMrdmd::initial_fit(const Mat& data) {
   nodes_.insert(nodes_.end(), std::make_move_iterator(descendants.begin()),
                 std::make_move_iterator(descendants.end()));
 
-  cached_grid_recon_ = root_grid_reconstruction(grid_.cols());
+  cached_grid_recon_ = root_grid_reconstruction();
   if (options_.keep_history) history_ = data;
   fitted_ = true;
 }
@@ -100,21 +92,16 @@ PartialFitReport IncrementalMrdmd::partial_fit(const Mat& new_cols) {
   const std::size_t k_old = grid_.cols();
 
   // 1. Extend the level-1 grid with the fixed initial stride. Every multiple
-  // of stride1_ below t_prev is already gridded, so new grid snapshots index
-  // into new_cols.
-  std::vector<std::size_t> fresh;
-  for (std::size_t g = k_old * stride1_; g < t_new; g += stride1_) {
-    fresh.push_back(g);
-  }
-  if (!fresh.empty()) {
-    Mat extended(sensors_, k_old + fresh.size());
+  // of stride1_ below t_prev is already gridded, so the next grid snapshot
+  // falls in new_cols (or past it).
+  const std::size_t next = k_old * stride1_;
+  IMRDMD_REQUIRE_DIMS(next >= t_prev, "grid invariant violated");
+  if (next < t_new) {
+    const Mat fresh = subsample(new_cols, next - t_prev, new_cols.cols(),
+                                stride1_);
+    Mat extended(sensors_, k_old + fresh.cols());
     extended.set_block(0, 0, grid_);
-    for (std::size_t j = 0; j < fresh.size(); ++j) {
-      IMRDMD_REQUIRE_DIMS(fresh[j] >= t_prev, "grid invariant violated");
-      for (std::size_t r = 0; r < sensors_; ++r) {
-        extended(r, k_old + j) = new_cols(r, fresh[j] - t_prev);
-      }
-    }
+    extended.set_block(0, k_old, fresh);
     grid_ = std::move(extended);
   }
   const std::size_t k_new = grid_.cols();
@@ -134,7 +121,7 @@ PartialFitReport IncrementalMrdmd::partial_fit(const Mat& new_cols) {
   // compared at the old grid points.
   time_steps_ = t_new;  // refresh_root uses the new span for rho
   refresh_root();
-  const Mat new_grid_recon = root_grid_reconstruction(k_new);
+  const Mat new_grid_recon = root_grid_reconstruction();
   {
     const Mat old_slice = cached_grid_recon_;
     const Mat new_slice = new_grid_recon.block(0, 0, sensors_, k_old);
@@ -220,11 +207,8 @@ void IncrementalMrdmd::add_sensors(const Mat& new_rows_history) {
   const std::size_t k = grid_.cols();
   Mat grid(sensors_ + w, k);
   grid.set_block(0, 0, grid_);
-  for (std::size_t r = 0; r < w; ++r) {
-    for (std::size_t j = 0; j < k; ++j) {
-      grid(sensors_ + r, j) = new_rows_history(r, j * stride1_);
-    }
-  }
+  grid.set_block(sensors_, 0,
+                 subsample(new_rows_history, 0, time_steps_, stride1_));
   grid_ = std::move(grid);
 
   // Incremental row update of the level-1 SVD (X = grid[:, :-1]).
@@ -233,101 +217,29 @@ void IncrementalMrdmd::add_sensors(const Mat& new_rows_history) {
 
   // Refresh the root from the extended factors, then refit descendants.
   refresh_root();
-  cached_grid_recon_ = root_grid_reconstruction(k);
+  cached_grid_recon_ = root_grid_reconstruction();
   replace_descendants(fit_descendants(history_, nodes_[0], options_.mrdmd));
 }
 
 void IncrementalMrdmd::refresh_root() {
-  const std::size_t k = grid_.cols();
-  const Mat y = grid_.block(0, 1, sensors_, k - 1);
-
-  dmd::DmdOptions dmd_options;
-  dmd_options.use_svht = options_.mrdmd.use_svht;
-  dmd_options.max_rank = options_.mrdmd.max_rank;
-  dmd_options.amplitude_fit = options_.mrdmd.amplitude_fit;
-  // The iSVD's V spans the X columns seen so far; it must match Y's width.
-  IMRDMD_REQUIRE_DIMS(isvd_.v().rows() == k - 1,
-                      "iSVD state out of sync with the level-1 grid");
-  const dmd::DmdResult fit = dmd::dmd_from_svd(
-      isvd_.u(), isvd_.s(), isvd_.v(), y, grid_,
-      options_.mrdmd.dt * static_cast<double>(stride1_), dmd_options);
-
-  MrdmdNode& root = nodes_[0];
-  root.level = 1;
-  root.bin_index = 0;
-  root.t_begin = 0;
-  root.t_end = time_steps_;
-  root.stride = stride1_;
-  root.rho = static_cast<double>(options_.mrdmd.max_cycles) /
-             static_cast<double>(time_steps_);
-  root.svd_rank = fit.svd_rank;
-
-  std::vector<std::size_t> slow;
-  for (std::size_t i = 0; i < fit.mode_count(); ++i) {
-    const Complex log_lambda = std::log(fit.eigenvalues[i]);
-    const double magnitude =
-        options_.mrdmd.criterion == SlowModeCriterion::AbsLog
-            ? std::abs(log_lambda)
-            : std::abs(log_lambda.imag());
-    const double cycles_per_snapshot =
-        magnitude / (kTwoPi * static_cast<double>(stride1_));
-    if (cycles_per_snapshot <= root.rho) slow.push_back(i);
-  }
-  root.modes = CMat(sensors_, slow.size());
-  root.eigenvalues.assign(slow.size(), Complex{});
-  for (std::size_t j = 0; j < slow.size(); ++j) {
-    for (std::size_t r = 0; r < sensors_; ++r) {
-      root.modes(r, j) = fit.modes(r, slow[j]);
-    }
-    root.eigenvalues[j] = fit.eigenvalues[slow[j]];
-  }
-  // Slow-only amplitude re-fit over the whole grid (see MrdmdOptions).
-  root.amplitudes = dmd::fit_amplitudes(root.modes, root.eigenvalues, grid_,
-                                        options_.mrdmd.amplitude_fit);
+  nodes_[0] = fit_node({.level = 1,
+                        .bin_index = 0,
+                        .t_begin = 0,
+                        .t_end = time_steps_,
+                        .stride = stride1_},
+                       grid_, isvd_.u(), isvd_.s(), isvd_.v(), options_.mrdmd);
 }
 
-Mat IncrementalMrdmd::root_grid_reconstruction(std::size_t count) const {
-  const MrdmdNode& root = nodes_[0];
-  Mat out(sensors_, count);
-  const std::size_t m = root.mode_count();
-  if (m == 0) return out;
-  // Grid column j sits at snapshot j*stride1, i.e. lambda^j exactly.
-  CMat dyn(m, count);
-  for (std::size_t i = 0; i < m; ++i) {
-    const Complex log_lambda = std::log(root.eigenvalues[i]);
-    for (std::size_t j = 0; j < count; ++j) {
-      dyn(i, j) =
-          root.amplitudes[i] * std::exp(log_lambda * static_cast<double>(j));
-    }
-  }
-  Mat re_phi(sensors_, m), im_phi(sensors_, m);
-  for (std::size_t r = 0; r < sensors_; ++r) {
-    for (std::size_t i = 0; i < m; ++i) {
-      re_phi(r, i) = root.modes(r, i).real();
-      im_phi(r, i) = root.modes(r, i).imag();
-    }
-  }
-  Mat re_dyn(m, count), im_dyn(m, count);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < count; ++j) {
-      re_dyn(i, j) = dyn(i, j).real();
-      im_dyn(i, j) = dyn(i, j).imag();
-    }
-  }
-  out = linalg::matmul(re_phi, re_dyn);
-  out -= linalg::matmul(im_phi, im_dyn);
+Mat IncrementalMrdmd::root_grid_reconstruction() const {
+  // Grid column j sits at snapshot j * stride1, i.e. lambda^j exactly.
+  Mat out(sensors_, grid_.cols());
+  accumulate_node(nodes_[0], options_.mrdmd.dt, nullptr, out, 0, stride1_);
   return out;
 }
 
 const MrdmdNode& IncrementalMrdmd::root() const {
   IMRDMD_REQUIRE_ARG(fitted_, "root() before initial_fit");
   return nodes_[0];
-}
-
-std::size_t IncrementalMrdmd::total_modes() const {
-  std::size_t count = 0;
-  for (const auto& node : nodes_) count += node.mode_count();
-  return count;
 }
 
 Mat IncrementalMrdmd::reconstruct(const dmd::ModeBand* band) const {
@@ -341,15 +253,6 @@ Mat IncrementalMrdmd::reconstruct(std::size_t t0, std::size_t t1,
   IMRDMD_REQUIRE_ARG(fitted_, "reconstruct before initial_fit");
   return reconstruct_nodes(nodes_, sensors_, t0, t1, options_.mrdmd.dt, band,
                            level_min, level_max);
-}
-
-std::vector<dmd::SpectrumPoint> IncrementalMrdmd::spectrum() const {
-  std::vector<dmd::SpectrumPoint> points;
-  for (const auto& node : nodes_) {
-    const auto node_points = node.spectrum(options_.mrdmd.dt);
-    points.insert(points.end(), node_points.begin(), node_points.end());
-  }
-  return points;
 }
 
 std::vector<double> IncrementalMrdmd::magnitudes(

@@ -92,7 +92,7 @@ class IncrementalMrdmd {
   const std::vector<MrdmdNode>& nodes() const { return nodes_; }
   const MrdmdNode& root() const;
 
-  std::size_t total_modes() const;
+  std::size_t total_modes() const { return core::total_modes(nodes_); }
 
   /// Stride of the level-1 subsample grid (fixed at initial_fit).
   std::size_t level1_stride() const { return stride1_; }
@@ -105,7 +105,9 @@ class IncrementalMrdmd {
                   const dmd::ModeBand* band = nullptr,
                   std::size_t level_min = 0, std::size_t level_max = 0) const;
 
-  std::vector<dmd::SpectrumPoint> spectrum() const;
+  std::vector<dmd::SpectrumPoint> spectrum() const {
+    return core::spectrum(nodes_, options_.mrdmd.dt);
+  }
   std::vector<double> magnitudes(const dmd::ModeBand* band = nullptr) const;
 
   // --- Extensions beyond the paper (its Sec. VI future work) -------------
@@ -123,13 +125,13 @@ class IncrementalMrdmd {
 
  private:
   /// Single point of access for the checkpoint module (core/checkpoint.cpp):
-  /// model, pipeline, and fleet serialization all go through it.
+  /// the IMRDMD1 model section is read and written through it.
   friend struct CheckpointAccess;
 
-  /// Rebuilds the root node's DMD from the current iSVD state.
+  /// Refits the root node (fit_node) from the current iSVD state.
   void refresh_root();
-  /// Root's slow reconstruction at grid columns [0, count).
-  Mat root_grid_reconstruction(std::size_t count) const;
+  /// Root's slow reconstruction at every level-1 grid column.
+  Mat root_grid_reconstruction() const;
 
   ImrdmdOptions options_;
   bool fitted_ = false;

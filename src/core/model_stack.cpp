@@ -29,11 +29,8 @@ void ModelStack::enable_coarse(
   rows_ = coarse_grid(groups, coarse_stride);
 
   // Interpolation map, built per group so reconstruction never blends
-  // across a group boundary: sensor at position i of a group sits between
-  // the coarse rows at positions (i / stride) * stride and the next coarse
-  // position, with constant extrapolation past the group's last coarse
-  // sensor. Coarse row indices are recovered from the running offset of
-  // each group's block inside the grid.
+  // across a group boundary. Coarse row indices are recovered from the
+  // running offset of each group's block inside the grid.
   interp_.assign(sensors, Interp{});
   std::vector<bool> seen(sensors, false);
   std::size_t offset = 0;  // first coarse row of the current group
@@ -44,18 +41,7 @@ void ModelStack::enable_coarse(
       IMRDMD_REQUIRE_ARG(sensor < sensors && !seen[sensor],
                          "hierarchy groups do not partition the sensors");
       seen[sensor] = true;
-      const std::size_t slot = i / stride_;
-      Interp ip;
-      ip.lo = offset + slot;
-      if (i % stride_ == 0 || slot + 1 >= group_rows) {
-        ip.hi = ip.lo;  // exact coarse sensor, or clamped tail
-        ip.w = 0.0;
-      } else {
-        ip.hi = ip.lo + 1;
-        ip.w = static_cast<double>(i - slot * stride_) /
-               static_cast<double>(stride_);
-      }
-      interp_[sensor] = ip;
+      interp_[sensor] = interp_at(i, offset, group_rows);
     }
     offset += group_rows;
   }
@@ -63,6 +49,20 @@ void ModelStack::enable_coarse(
       std::all_of(seen.begin(), seen.end(), [](bool s) { return s; }),
       "hierarchy groups do not cover every sensor");
   coarse_ = std::make_unique<IncrementalMrdmd>(options);
+}
+
+ModelStack::Interp ModelStack::interp_at(std::size_t i, std::size_t first_row,
+                                         std::size_t block_rows) const {
+  const std::size_t slot = i / stride_;
+  Interp ip;
+  ip.lo = first_row + slot;
+  ip.hi = ip.lo;  // exact coarse sensor, or clamped tail
+  if (i % stride_ != 0 && slot + 1 < block_rows) {
+    ip.hi = ip.lo + 1;
+    ip.w = static_cast<double>(i - slot * stride_) /
+           static_cast<double>(stride_);
+  }
+  return ip;
 }
 
 const IncrementalMrdmd& ModelStack::coarse() const {
@@ -159,23 +159,10 @@ Mat ModelStack::grow_coarse(const std::vector<std::size_t>& new_sensors,
   }
 
   // Self-contained interpolation map for the block (existing sensors keep
-  // their frozen map): the same per-position rule enable_coarse applies to
-  // a group, clamped at the block's tail.
+  // their frozen map), clamped at the block's tail.
   interp_.resize(new_sensor_total, Interp{});
-  const std::size_t block_rows = appended;
   for (std::size_t j = 0; j < new_sensors.size(); ++j) {
-    const std::size_t slot = j / stride_;
-    Interp ip;
-    ip.lo = base + slot;
-    if (j % stride_ == 0 || slot + 1 >= block_rows) {
-      ip.hi = ip.lo;
-      ip.w = 0.0;
-    } else {
-      ip.hi = ip.lo + 1;
-      ip.w = static_cast<double>(j - slot * stride_) /
-             static_cast<double>(stride_);
-    }
-    interp_[new_sensors[j]] = ip;
+    interp_[new_sensors[j]] = interp_at(j, base, appended);
   }
 
   // Grow the replicated coarse model, then hand back the new sensors'

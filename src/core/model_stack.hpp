@@ -128,6 +128,14 @@ class ModelStack {
   /// Fits `coarse_chunk` into the coarse model and returns the
   /// reconstruction of the chunk's own window.
   Mat fit_coarse(const Mat& coarse_chunk, CoarseUpdate& update);
+  /// Interpolation of the sensor at position i of a block (a group, or an
+  /// elastic join's appended list) whose `block_rows` coarse rows start at
+  /// grid row `first_row`: between the coarse rows of positions
+  /// (i / stride) * stride and the next, exact on a coarse sensor and
+  /// constant past the block's last coarse row — shared by enable_coarse
+  /// and grow_coarse.
+  Interp interp_at(std::size_t i, std::size_t first_row,
+                   std::size_t block_rows) const;
   /// Residual of one sensor's raw row against the interpolated coarse
   /// reconstruction — shared by update_coarse and grow_coarse.
   void subtract_interpolated(std::size_t sensor, const double* raw,

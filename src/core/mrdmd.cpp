@@ -13,21 +13,66 @@
 namespace imrdmd::core {
 
 namespace {
-
 constexpr double kTwoPi = 6.283185307179586476925287;
+}
 
-// Gathers residual columns lo, lo+stride, ... (< hi) into a dense block.
-Mat subsample(const Mat& residual, std::size_t lo, std::size_t hi,
+Mat subsample(const Mat& data, std::size_t lo, std::size_t hi,
               std::size_t stride) {
+  IMRDMD_REQUIRE_ARG(stride >= 1 && lo <= hi && hi <= data.cols(),
+                     "subsample needs stride >= 1 and lo <= hi <= cols");
   const std::size_t count = (hi - lo + stride - 1) / stride;
-  Mat out(residual.rows(), count);
-  for (std::size_t r = 0; r < residual.rows(); ++r) {
-    const double* src = residual.data() + r * residual.cols();
+  Mat out(data.rows(), count);
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    const double* src = data.data() + r * data.cols();
     double* dst = out.data() + r * count;
     for (std::size_t j = 0; j < count; ++j) dst[j] = src[lo + j * stride];
   }
   return out;
 }
+
+MrdmdNode fit_node(MrdmdNode node, const Mat& grid, const Mat& u,
+                   const std::vector<double>& s, const Mat& v,
+                   const MrdmdOptions& options) {
+  IMRDMD_REQUIRE_DIMS(grid.cols() >= 2, "fit_node needs two grid columns");
+  dmd::DmdOptions dmd_options;
+  dmd_options.use_svht = options.use_svht;
+  dmd_options.max_rank = options.max_rank;
+  const dmd::DmdResult fit = dmd::dmd_from_svd(
+      u, s, v, grid.block(0, 1, grid.rows(), grid.cols() - 1),
+      options.dt * static_cast<double>(node.stride), dmd_options);
+  node.rho = static_cast<double>(options.max_cycles) /
+             static_cast<double>(node.span());
+  node.svd_rank = fit.svd_rank;
+
+  // Slow-mode selection: frequency in cycles per original-resolution
+  // snapshot must not exceed rho.
+  std::vector<std::size_t> slow;
+  for (std::size_t i = 0; i < fit.mode_count(); ++i) {
+    const Complex log_lambda = std::log(fit.eigenvalues[i]);
+    const double magnitude = options.criterion == SlowModeCriterion::AbsLog
+                                 ? std::abs(log_lambda)
+                                 : std::abs(log_lambda.imag());
+    const double cycles_per_snapshot =
+        magnitude / (kTwoPi * static_cast<double>(node.stride));
+    if (cycles_per_snapshot <= node.rho) slow.push_back(i);
+  }
+  node.modes = CMat(grid.rows(), slow.size());
+  node.eigenvalues.resize(slow.size());
+  for (std::size_t j = 0; j < slow.size(); ++j) {
+    for (std::size_t r = 0; r < grid.rows(); ++r) {
+      node.modes(r, j) = fit.modes(r, slow[j]);
+    }
+    node.eigenvalues[j] = fit.eigenvalues[slow[j]];
+  }
+  // Amplitudes are fitted against the grid using only the retained slow
+  // modes (reference implementation order): the slow field must be the
+  // best slow-only explanation of the window.
+  node.amplitudes = dmd::fit_amplitudes(node.modes, node.eigenvalues, grid,
+                                        options.amplitude_fit);
+  return node;
+}
+
+namespace {
 
 // Fits one bin on residual[:, lo:hi), subtracts its slow reconstruction in
 // place, and returns the node (nullopt when the bin is too short or yields
@@ -45,57 +90,18 @@ std::optional<MrdmdNode> process_bin(Mat& residual, std::size_t t_offset,
   const std::size_t k = grid.cols();
   if (k < 2) return std::nullopt;
 
-  const Mat x = grid.block(0, 0, grid.rows(), k - 1);
-  const Mat y = grid.block(0, 1, grid.rows(), k - 1);
-
   // Per-thread scratch: pool workers and the main thread keep their SVD
   // buffers warm across the many bins each processes.
   thread_local linalg::SvdWorkspace svd_ws;
   thread_local linalg::SvdResult f;
-  linalg::svd_into(x, f, svd_ws);
-  dmd::DmdOptions dmd_options;
-  dmd_options.use_svht = options.use_svht;
-  dmd_options.max_rank = options.max_rank;
-  dmd_options.amplitude_fit = options.amplitude_fit;
-  const dmd::DmdResult fit =
-      dmd::dmd_from_svd(f.u, f.s, f.v, y, grid,
-                        options.dt * static_cast<double>(stride), dmd_options);
-
-  MrdmdNode node;
-  node.level = level;
-  node.bin_index = bin_index;
-  node.t_begin = t_offset + lo;
-  node.t_end = t_offset + hi;
-  node.stride = stride;
-  node.rho = static_cast<double>(options.max_cycles) / static_cast<double>(bin);
-  node.svd_rank = fit.svd_rank;
-
-  // Slow-mode selection: frequency in cycles per original-resolution
-  // snapshot must not exceed rho.
-  std::vector<std::size_t> slow;
-  for (std::size_t i = 0; i < fit.mode_count(); ++i) {
-    const Complex log_lambda = std::log(fit.eigenvalues[i]);
-    const double magnitude = options.criterion == SlowModeCriterion::AbsLog
-                                 ? std::abs(log_lambda)
-                                 : std::abs(log_lambda.imag());
-    const double cycles_per_snapshot =
-        magnitude / (kTwoPi * static_cast<double>(stride));
-    if (cycles_per_snapshot <= node.rho) slow.push_back(i);
-  }
-  if (!slow.empty()) {
-    node.modes = CMat(fit.modes.rows(), slow.size());
-    node.eigenvalues.resize(slow.size());
-    for (std::size_t j = 0; j < slow.size(); ++j) {
-      for (std::size_t r = 0; r < fit.modes.rows(); ++r) {
-        node.modes(r, j) = fit.modes(r, slow[j]);
-      }
-      node.eigenvalues[j] = fit.eigenvalues[slow[j]];
-    }
-    // Amplitudes are re-fitted against the bin's snapshots using only the
-    // retained slow modes (reference implementation order): the slow field
-    // must be the best slow-only explanation of the bin.
-    node.amplitudes = dmd::fit_amplitudes(node.modes, node.eigenvalues, grid,
-                                          options.amplitude_fit);
+  linalg::svd_into(grid.block(0, 0, grid.rows(), k - 1), f, svd_ws);
+  MrdmdNode node = fit_node({.level = level,
+                             .bin_index = bin_index,
+                             .t_begin = t_offset + lo,
+                             .t_end = t_offset + hi,
+                             .stride = stride},
+                            grid, f.u, f.s, f.v, options);
+  if (node.mode_count() > 0) {
     // Subtract the slow reconstruction over the FULL bin (original
     // resolution), leaving faster dynamics for the children.
     Mat window(residual.rows(), bin);
@@ -105,8 +111,6 @@ std::optional<MrdmdNode> process_bin(Mat& residual, std::size_t t_offset,
       const double* src = window.data() + r * bin;
       for (std::size_t t = 0; t < bin; ++t) dst[t] -= src[t];
     }
-  } else {
-    node.modes = CMat(residual.rows(), 0);
   }
   return node;
 }
@@ -185,12 +189,6 @@ void MrdmdTree::fit(const Mat& data) {
   fitted_ = true;
 }
 
-std::size_t MrdmdTree::total_modes() const {
-  std::size_t count = 0;
-  for (const auto& node : nodes_) count += node.mode_count();
-  return count;
-}
-
 Mat MrdmdTree::reconstruct(const dmd::ModeBand* band) const {
   return reconstruct(0, time_steps_, band);
 }
@@ -201,15 +199,6 @@ Mat MrdmdTree::reconstruct(std::size_t t0, std::size_t t1,
   IMRDMD_REQUIRE_ARG(fitted_, "reconstruct before fit");
   return reconstruct_nodes(nodes_, sensors_, t0, t1, options_.dt, band,
                            level_min, level_max);
-}
-
-std::vector<dmd::SpectrumPoint> MrdmdTree::spectrum() const {
-  std::vector<dmd::SpectrumPoint> points;
-  for (const auto& node : nodes_) {
-    const auto node_points = node.spectrum(options_.dt);
-    points.insert(points.end(), node_points.begin(), node_points.end());
-  }
-  return points;
 }
 
 std::vector<double> MrdmdTree::magnitudes(const dmd::ModeBand* band) const {

@@ -9,19 +9,22 @@
 //   for level = 1 .. max_levels:
 //     for each bin [lo, hi):                       (parallel)
 //       stride = floor(bin / (8 max_cycles))       (4x-Nyquist subsampling)
-//       DMD on residual[:, lo:hi:stride] (SVHT-truncated rank)
-//       keep modes with frequency <= rho = max_cycles / bin   ("slow")
+//       fit_node: DMD on residual[:, lo:hi:stride] (SVHT-truncated rank),
+//         keep modes with frequency <= rho = max_cycles / bin ("slow"),
+//         fit the slow modes' amplitudes
 //       residual[:, lo:hi] -= slow reconstruction over the full bin
 //     bins(level+1) = both halves of every bin
 //
-// Bins shorter than 8 max_cycles snapshots terminate their branch.
+// Bins shorter than 8 max_cycles snapshots terminate their branch. I-mrDMD's
+// level-1 root (core/imrdmd.hpp) is fitted by the same fit_node, from its
+// incrementally updated SVD instead of a per-bin one.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/mrdmd_node.hpp"
-#include "dmd/spectrum.hpp"
+#include "dmd/dmd.hpp"
 
 namespace imrdmd::core {
 
@@ -56,6 +59,22 @@ struct MrdmdOptions {
   /// target): 8 * max_cycles.
   std::size_t nyquist_snapshots() const { return 8 * max_cycles; }
 };
+
+/// Gathers columns lo, lo + stride, ... (< hi) of `data` into a dense block:
+/// the subsample grid of a node over [lo, hi) at that stride.
+Mat subsample(const Mat& data, std::size_t lo, std::size_t hi,
+              std::size_t stride);
+
+/// Fits one mrDMD node from its subsample `grid` and the SVD factors
+/// u diag(s) v^T of grid[:, :-1]: exact DMD, the slow-mode cut (at most
+/// max_cycles oscillations across the window, rho = max_cycles / span), and
+/// the slow-only amplitude fit against `grid`. `placement` carries the
+/// node's level, bin_index, window and stride; the fit fills in rho,
+/// svd_rank, modes, eigenvalues and amplitudes. Every batch bin (from its
+/// own SVD) and I-mrDMD's root (from the incremental one) go through here.
+MrdmdNode fit_node(MrdmdNode placement, const Mat& grid, const Mat& u,
+                   const std::vector<double>& s, const Mat& v,
+                   const MrdmdOptions& options);
 
 /// A seed bin of the level recursion: column range [lo, hi) of the residual
 /// and the bin's index within `level0`.
@@ -104,7 +123,7 @@ class MrdmdTree {
   const std::vector<MrdmdNode>& nodes() const { return nodes_; }
 
   /// Number of retained modes across all nodes.
-  std::size_t total_modes() const;
+  std::size_t total_modes() const { return core::total_modes(nodes_); }
 
   /// Reconstruction over [0, T) (all levels, optional band filter).
   Mat reconstruct(const dmd::ModeBand* band = nullptr) const;
@@ -116,7 +135,9 @@ class MrdmdTree {
                   std::size_t level_min = 0, std::size_t level_max = 0) const;
 
   /// Collective spectrum across every node (Figs. 5/7).
-  std::vector<dmd::SpectrumPoint> spectrum() const;
+  std::vector<dmd::SpectrumPoint> spectrum() const {
+    return core::spectrum(nodes_, options_.dt);
+  }
 
   /// Per-sensor aggregate mode magnitude (input to z-scoring).
   std::vector<double> magnitudes(const dmd::ModeBand* band = nullptr) const;

@@ -43,12 +43,20 @@ std::vector<dmd::SpectrumPoint> MrdmdNode::spectrum(double dt) const {
 }
 
 void accumulate_node(const MrdmdNode& node, double dt,
-                     const dmd::ModeBand* band, Mat& out, std::size_t out_t0) {
+                     const dmd::ModeBand* band, Mat& out, std::size_t out_t0,
+                     std::size_t out_step) {
+  IMRDMD_REQUIRE_ARG(out_step >= 1, "accumulate_node needs out_step >= 1");
   IMRDMD_REQUIRE_DIMS(out.rows() == node.modes.rows() || node.mode_count() == 0,
                       "accumulate_node sensor count mismatch");
-  const std::size_t lo = std::max(node.t_begin, out_t0);
-  const std::size_t hi = std::min(node.t_end, out_t0 + out.cols());
-  if (lo >= hi || node.mode_count() == 0) return;
+  // First output column at or after snapshot t (clamped to out.cols()):
+  // columns [c_lo, c_hi) hold the snapshots inside the node window.
+  const auto first_column = [&](std::size_t t) {
+    if (t <= out_t0) return std::size_t{0};
+    return std::min(out.cols(), (t - out_t0 + out_step - 1) / out_step);
+  };
+  const std::size_t c_lo = first_column(node.t_begin);
+  const std::size_t c_hi = first_column(node.t_end);
+  if (c_lo >= c_hi || node.mode_count() == 0) return;
 
   // Band-filtered mode subset.
   std::vector<std::size_t> kept;
@@ -61,7 +69,7 @@ void accumulate_node(const MrdmdNode& node, double dt,
   if (kept.empty()) return;
   const std::size_t m = kept.size();
   const std::size_t p = node.modes.rows();
-  const std::size_t w = hi - lo;
+  const std::size_t w = c_hi - c_lo;
 
   // Dynamics over the overlap: dyn(i, t) = b_i lambda_i^{(t - t_begin)/stride}.
   Mat re_dyn(m, w), im_dyn(m, w);
@@ -69,12 +77,13 @@ void accumulate_node(const MrdmdNode& node, double dt,
     const std::size_t i = kept[k];
     const Complex log_lambda = std::log(node.eigenvalues[i]);
     const Complex b = node.amplitudes[i];
-    for (std::size_t t = 0; t < w; ++t) {
-      const double local = static_cast<double>(lo + t - node.t_begin) /
+    for (std::size_t c = 0; c < w; ++c) {
+      const std::size_t t = out_t0 + (c_lo + c) * out_step;
+      const double local = static_cast<double>(t - node.t_begin) /
                            static_cast<double>(node.stride);
       const Complex value = b * std::exp(log_lambda * local);
-      re_dyn(k, t) = value.real();
-      im_dyn(k, t) = value.imag();
+      re_dyn(k, c) = value.real();
+      im_dyn(k, c) = value.imag();
     }
   }
   // Re(Phi dyn) = Re(Phi) Re(dyn) - Im(Phi) Im(dyn).
@@ -89,9 +98,9 @@ void accumulate_node(const MrdmdNode& node, double dt,
   Mat contribution = linalg::matmul(re_phi, re_dyn);
   contribution -= linalg::matmul(im_phi, im_dyn);
   for (std::size_t r = 0; r < p; ++r) {
-    double* dst = out.data() + r * out.cols() + (lo - out_t0);
+    double* dst = out.data() + r * out.cols() + c_lo;
     const double* src = contribution.data() + r * w;
-    for (std::size_t t = 0; t < w; ++t) dst[t] += src[t];
+    for (std::size_t c = 0; c < w; ++c) dst[c] += src[c];
   }
 }
 
@@ -124,6 +133,22 @@ std::vector<double> band_level_means(const std::vector<MrdmdNode>& nodes,
     level[p] = sum * inv;
   }
   return level;
+}
+
+std::size_t total_modes(const std::vector<MrdmdNode>& nodes) {
+  std::size_t count = 0;
+  for (const MrdmdNode& node : nodes) count += node.mode_count();
+  return count;
+}
+
+std::vector<dmd::SpectrumPoint> spectrum(const std::vector<MrdmdNode>& nodes,
+                                         double dt) {
+  std::vector<dmd::SpectrumPoint> points;
+  for (const MrdmdNode& node : nodes) {
+    const auto node_points = node.spectrum(dt);
+    points.insert(points.end(), node_points.begin(), node_points.end());
+  }
+  return points;
 }
 
 std::vector<double> mode_magnitudes(const std::vector<MrdmdNode>& nodes,

@@ -38,11 +38,11 @@ struct MrdmdNode {
   std::size_t svd_rank = 0;
 
   /// Retained slow modes as columns (P x m).
-  CMat modes;
+  CMat modes{};
   /// Discrete eigenvalues of the subsampled propagator (length m).
-  std::vector<Complex> eigenvalues;
+  std::vector<Complex> eigenvalues{};
   /// Mode amplitudes (length m).
-  std::vector<Complex> amplitudes;
+  std::vector<Complex> amplitudes{};
 
   std::size_t mode_count() const { return eigenvalues.size(); }
   std::size_t span() const { return t_end - t_begin; }
@@ -61,12 +61,16 @@ struct MrdmdNode {
   std::vector<dmd::SpectrumPoint> spectrum(double dt) const;
 };
 
-/// Adds this node's (band-filtered) reconstruction into `out`, whose columns
-/// cover global snapshots [out_t0, out_t0 + out.cols()). Only the overlap of
-/// that range with the node window is touched. Pass band = nullptr to keep
-/// every mode.
+/// Adds this node's (band-filtered) reconstruction into `out`, whose column
+/// c holds global snapshot out_t0 + c * out_step (out_step >= 1). Only the
+/// columns whose snapshots fall in the node window are touched. Pass
+/// band = nullptr to keep every mode. The one evaluation of
+/// Re(Phi diag(b) lambda^t) in the engine: the bins' subtraction, every
+/// reconstruction, and I-mrDMD's root on its level-1 grid
+/// (out_step = stride) all go through it.
 void accumulate_node(const MrdmdNode& node, double dt,
-                     const dmd::ModeBand* band, Mat& out, std::size_t out_t0);
+                     const dmd::ModeBand* band, Mat& out, std::size_t out_t0,
+                     std::size_t out_step = 1);
 
 /// Sum of accumulate_node over `nodes` restricted to levels in
 /// [level_min, level_max] (0 = no bound). Returns a P x (t1 - t0) matrix.
@@ -74,6 +78,13 @@ Mat reconstruct_nodes(const std::vector<MrdmdNode>& nodes, std::size_t sensors,
                       std::size_t t0, std::size_t t1, double dt,
                       const dmd::ModeBand* band = nullptr,
                       std::size_t level_min = 0, std::size_t level_max = 0);
+
+/// Number of retained modes across `nodes`.
+std::size_t total_modes(const std::vector<MrdmdNode>& nodes);
+
+/// Spectrum points of every node, in node order (Figs. 5/7).
+std::vector<dmd::SpectrumPoint> spectrum(const std::vector<MrdmdNode>& nodes,
+                                         double dt);
 
 /// Per-sensor aggregate mode magnitude m_p = sum_i |b_i| |phi_{p,i}| over
 /// all nodes, band-filtered — the quantity the paper z-scores against a

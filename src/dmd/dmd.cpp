@@ -10,69 +10,6 @@
 
 namespace imrdmd::dmd {
 
-namespace {
-constexpr double kTwoPi = 6.283185307179586476925287;
-}
-
-std::vector<Complex> DmdResult::continuous_eigenvalues() const {
-  std::vector<Complex> psi(eigenvalues.size());
-  for (std::size_t i = 0; i < eigenvalues.size(); ++i) {
-    psi[i] = std::log(eigenvalues[i]) / dt;
-  }
-  return psi;
-}
-
-std::vector<double> DmdResult::frequencies() const {
-  std::vector<double> freq(eigenvalues.size());
-  const std::vector<Complex> psi = continuous_eigenvalues();
-  for (std::size_t i = 0; i < psi.size(); ++i) {
-    freq[i] = std::abs(psi[i].imag()) / kTwoPi;
-  }
-  return freq;
-}
-
-std::vector<double> DmdResult::powers() const {
-  std::vector<double> power(eigenvalues.size(), 0.0);
-  for (std::size_t j = 0; j < modes.cols(); ++j) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < modes.rows(); ++i) sum += std::norm(modes(i, j));
-    power[j] = sum;
-  }
-  return power;
-}
-
-Mat DmdResult::reconstruct(std::size_t steps) const {
-  const std::size_t p = modes.rows();
-  const std::size_t r = mode_count();
-  if (r == 0) return Mat(p, steps);
-  // Dynamics matrix: dyn(i, t) = b_i * lambda_i^t.
-  CMat dyn(r, steps);
-  for (std::size_t i = 0; i < r; ++i) {
-    const Complex log_lambda = std::log(eigenvalues[i]);
-    for (std::size_t t = 0; t < steps; ++t) {
-      dyn(i, t) = amplitudes[i] * std::exp(log_lambda * static_cast<double>(t));
-    }
-  }
-  // Re(Phi * dyn) via two real products (cheaper than a complex GEMM).
-  const Mat re_phi = linalg::real_part(modes);
-  const Mat im_phi = [&] {
-    Mat m(p, r);
-    for (std::size_t i = 0; i < p; ++i)
-      for (std::size_t j = 0; j < r; ++j) m(i, j) = modes(i, j).imag();
-    return m;
-  }();
-  Mat re_dyn(r, steps), im_dyn(r, steps);
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t t = 0; t < steps; ++t) {
-      re_dyn(i, t) = dyn(i, t).real();
-      im_dyn(i, t) = dyn(i, t).imag();
-    }
-  }
-  Mat out = linalg::matmul(re_phi, re_dyn);
-  out -= linalg::matmul(im_phi, im_dyn);
-  return out;
-}
-
 std::vector<Complex> fit_amplitudes(const CMat& modes,
                                     const std::vector<Complex>& eigenvalues,
                                     const Mat& snapshots, AmplitudeFit method) {
@@ -134,10 +71,10 @@ std::vector<Complex> fit_amplitudes_from_products(
 }
 
 DmdResult dmd_from_svd(const Mat& u, const std::vector<double>& s,
-                       const Mat& v, const Mat& y, const Mat& snapshots,
-                       double dt, const DmdOptions& options) {
+                       const Mat& v, const Mat& y, double dt,
+                       const DmdOptions& options) {
   IMRDMD_REQUIRE_ARG(dt > 0.0, "dmd requires dt > 0");
-  IMRDMD_REQUIRE_DIMS(u.rows() == y.rows() && u.rows() == snapshots.rows(),
+  IMRDMD_REQUIRE_DIMS(u.rows() == y.rows(),
                       "dmd_from_svd sensor dimension mismatch");
   IMRDMD_REQUIRE_DIMS(v.rows() == y.cols(),
                       "dmd_from_svd snapshot dimension mismatch");
@@ -174,8 +111,6 @@ DmdResult dmd_from_svd(const Mat& u, const std::vector<double>& s,
   // Phi = Y V_r S_r^-1 W  (Eq. 5, "exact" DMD modes).
   result.modes = linalg::matmul(linalg::to_complex(yv), eigen.vectors);
   result.eigenvalues = eigen.values;
-  result.amplitudes = fit_amplitudes(result.modes, result.eigenvalues,
-                                     snapshots, options.amplitude_fit);
   return result;
 }
 
@@ -185,7 +120,10 @@ DmdResult dmd(const Mat& data, double dt, const DmdOptions& options) {
   const Mat x = data.block(0, 0, data.rows(), t - 1);
   const Mat y = data.block(0, 1, data.rows(), t - 1);
   linalg::SvdResult f = linalg::svd(x);
-  return dmd_from_svd(f.u, f.s, f.v, y, data, dt, options);
+  DmdResult result = dmd_from_svd(f.u, f.s, f.v, y, dt, options);
+  result.amplitudes = fit_amplitudes(result.modes, result.eigenvalues, data,
+                                     options.amplitude_fit);
+  return result;
 }
 
 }  // namespace imrdmd::dmd

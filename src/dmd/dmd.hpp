@@ -6,9 +6,12 @@
 //   modes Phi = Y V S^-1 W,  discrete eigenvalues lambda,  amplitudes b
 // with x(t) ~= Phi diag(lambda^t) b.
 //
-// Two entry points: dmd() factors the snapshot matrix itself; dmd_from_svd()
-// accepts externally maintained SVD factors of X — the hook through which
-// I-mrDMD feeds its incrementally updated decomposition (Algo 1, line 3).
+// dmd() factors the snapshot matrix itself and fits amplitudes for every
+// mode. dmd_from_svd() accepts SVD factors of X and returns modes and
+// eigenvalues only: its callers (core::fit_node, for every mrDMD bin and for
+// I-mrDMD's incrementally updated root, Algo 1 line 3) keep the slow subset
+// and fit amplitudes for that subset alone. The spectrum and reconstruction
+// of a mode set live on core::MrdmdNode.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +49,8 @@ struct DmdResult {
   CMat modes;
   /// Discrete-time eigenvalues lambda_i of the propagator.
   std::vector<Complex> eigenvalues;
-  /// Mode amplitudes b_i (least-squares fit of the first snapshot).
+  /// Mode amplitudes b_i, fitted by DmdOptions::amplitude_fit. Only dmd()
+  /// fills them; dmd_from_svd() leaves them empty.
   std::vector<Complex> amplitudes;
   /// Snapshot spacing in seconds.
   double dt = 1.0;
@@ -54,36 +58,22 @@ struct DmdResult {
   std::size_t svd_rank = 0;
 
   std::size_t mode_count() const { return eigenvalues.size(); }
-
-  /// Continuous eigenvalues psi_i = ln(lambda_i) / dt.
-  std::vector<Complex> continuous_eigenvalues() const;
-
-  /// Oscillation frequency per mode in Hz (paper Eq. 9): |Im psi| / 2 pi.
-  std::vector<double> frequencies() const;
-
-  /// mrDMD "power" per mode (paper Eq. 10): ||phi_i||_2^2.
-  std::vector<double> powers() const;
-
-  /// Reconstructs `steps` snapshots at t = 0, dt, 2 dt, ...:
-  /// x(t) = Re( Phi diag(lambda^{t/dt}) b ).
-  Mat reconstruct(std::size_t steps) const;
 };
 
 /// Exact DMD of a snapshot matrix `data` (P sensors x T snapshots, T >= 2).
 DmdResult dmd(const Mat& data, double dt, const DmdOptions& options = {});
 
-/// DMD from precomputed SVD factors of X (u diag(s) v^T ~= X) plus the
-/// shifted snapshot matrix y; amplitudes are fitted against `snapshots`
-/// (the unshifted columns x_0.. at unit eigenvalue steps — pass X, or the
-/// full snapshot matrix). `s` may be longer than the factors' rank; rank
-/// selection (SVHT/cap) happens here.
+/// Modes and eigenvalues from precomputed SVD factors of X
+/// (u diag(s) v^T ~= X) plus the shifted snapshot matrix y; amplitudes are
+/// left empty and options.amplitude_fit is not read. `s` may be longer than
+/// the factors' rank; rank selection (SVHT/cap) happens here.
 DmdResult dmd_from_svd(const Mat& u, const std::vector<double>& s,
-                       const Mat& v, const Mat& y, const Mat& snapshots,
-                       double dt, const DmdOptions& options = {});
+                       const Mat& v, const Mat& y, double dt,
+                       const DmdOptions& options = {});
 
 /// Fits amplitudes for an explicit (modes, eigenvalues) set against
 /// `snapshots`, whose column t is assumed to sit at eigenvalue power t.
-/// Used by mrDMD to re-fit amplitudes after slow-mode selection (the
+/// Used by mrDMD to fit amplitudes after slow-mode selection (the
 /// reference implementation's order of operations).
 std::vector<Complex> fit_amplitudes(const CMat& modes,
                                     const std::vector<Complex>& eigenvalues,

@@ -5,13 +5,13 @@
 // and its growth rate Re(ln lambda_i / dt) (positive = growing dynamics,
 // negative = decaying). Figures 5 and 7 of the paper plot amplitude against
 // frequency; ModeBand expresses the frequency-range isolation the paper
-// applies before z-scoring (e.g. "0-60 Hz").
+// applies before z-scoring (e.g. "0-60 Hz"). The points are produced by
+// core::MrdmdNode::spectrum, and the band is applied by its reconstruction
+// and magnitude functions (core/mrdmd_node.hpp).
 #pragma once
 
+#include <cstddef>
 #include <limits>
-#include <vector>
-
-#include "dmd/dmd.hpp"
 
 namespace imrdmd::dmd {
 
@@ -21,9 +21,9 @@ struct SpectrumPoint {
   /// sqrt(power): the "mode amplitude" axis used by the paper's Figs. 5/7.
   double amplitude = 0.0;
   double growth_rate = 0.0;
-  /// Index of the mode within its decomposition.
+  /// Index of the mode within its node.
   std::size_t mode_index = 0;
-  /// mrDMD level of the node that produced the mode (0 for plain DMD).
+  /// mrDMD level of the node that produced the mode.
   std::size_t level = 0;
 };
 
@@ -38,12 +38,5 @@ struct ModeBand {
            frequency_hz <= max_frequency_hz && power >= min_power;
   }
 };
-
-/// Spectrum of a single DMD result.
-std::vector<SpectrumPoint> spectrum(const DmdResult& result);
-
-/// Indices of modes inside the band.
-std::vector<std::size_t> select_modes(const DmdResult& result,
-                                      const ModeBand& band);
 
 }  // namespace imrdmd::dmd

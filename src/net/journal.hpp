@@ -7,8 +7,10 @@
 //     rewind to any snapshot it already consumed),
 //   * a successor process reopens the same journal and resumes bitwise
 //     (the chunks are stored as raw IEEE-754 bit patterns), and
-//   * the server's ack is a durability receipt: what the shipper believes
-//     was delivered is exactly what a restart can still replay.
+//   * the server's ack means the chunk is in this file: what the shipper
+//     believes was delivered is exactly what a restarted process can still
+//     replay. append() writes with write(2) and never fsyncs, so an acked
+//     chunk survives a process kill but not a power loss or OS crash.
 //
 // File layout (all integers LE, via net/wire.hpp's packing):
 //   8 bytes   magic "IMRDJL1\n"

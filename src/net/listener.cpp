@@ -211,7 +211,7 @@ void IngestListener::serve_stream(Socket& socket) {
         }
         count("imrdmd_net_frames_total", hello.stream_id, 1.0);
         // Ack the cumulative journaled sequence AFTER the append: the ack
-        // is a durability receipt (duplicates re-ack the same watermark).
+        // is a journal receipt (duplicates re-ack the same watermark).
         send_frame(socket, FrameType::Ack, source->acked_seq(), {});
         break;
       }

@@ -11,8 +11,8 @@
 // the dynamic-tenant path examples/assessor_server uses), answer with the
 // resume point (journaled sequence/position), then verify-journal-ack
 // frames until End or disconnect. Acks are sent only after the journal
-// append, so an ack is a durability receipt and reconnect-with-resume is
-// exact.
+// append, so reconnect-with-resume is exact and an acked chunk survives a
+// process kill (not a power loss: the journal does not fsync).
 //
 // Error isolation: each connection runs on its own handler thread and
 // every failure is contained to it — a shipper sending damaged frames

@@ -8,6 +8,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/assessor.hpp"
+#include "core/mrdmd_node.hpp"
 #include "dmd/spectrum.hpp"
 #include "linalg/blas.hpp"
 #include "rack/render.hpp"
@@ -24,26 +25,30 @@ using linalg::Mat;
 TEST(Spectrum, PowerFilterDropsWeakModes) {
   // Exact-DMD modes are near-unit-norm (energy lives in the amplitudes), so
   // the Eq. 10 power filter is exercised on an explicit mode set with
-  // different column norms.
-  dmd::DmdResult result;
-  result.dt = 1.0;
-  result.modes = linalg::CMat(4, 2);
+  // different column norms, through the engine's band-filtered magnitudes.
+  core::MrdmdNode node;
+  node.t_end = 16;
+  node.modes = linalg::CMat(4, 2);
   for (std::size_t p = 0; p < 4; ++p) {
-    result.modes(p, 0) = Complex(1.0, 0.0);    // power 4
-    result.modes(p, 1) = Complex(0.05, 0.0);   // power 0.01
+    node.modes(p, 0) = Complex(1.0, 0.0);   // power 4
+    node.modes(p, 1) = Complex(0.05, 0.0);  // power 0.01
   }
-  result.eigenvalues = {std::exp(Complex(0, 0.2)),
-                        std::exp(Complex(0, 0.2))};
-  result.amplitudes = {Complex(1, 0), Complex(1, 0)};
+  node.eigenvalues = {std::exp(Complex(0, 0.2)), std::exp(Complex(0, 0.2))};
+  node.amplitudes = {Complex(1, 0), Complex(1, 0)};
+  const std::vector<core::MrdmdNode> nodes{node};
 
   dmd::ModeBand strong_only;
   strong_only.min_power = 1.0;
-  const auto kept = dmd::select_modes(result, strong_only);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0], 0u);
+  // Only mode 0 passes: |b_0| |phi_p0| = 1 on every sensor (1.05 with both
+  // modes, 0.05 with the weak one alone).
+  for (const double m : core::mode_magnitudes(nodes, 4, 1.0, &strong_only)) {
+    EXPECT_DOUBLE_EQ(m, 1.0);
+  }
   // Frequency bounds compose with the power bound.
   strong_only.min_frequency_hz = 1.0;  // above 0.2/(2 pi)
-  EXPECT_TRUE(dmd::select_modes(result, strong_only).empty());
+  for (const double m : core::mode_magnitudes(nodes, 4, 1.0, &strong_only)) {
+    EXPECT_EQ(m, 0.0);
+  }
 }
 
 void pinned_baseline_population_stays_fixed(std::size_t stride) {

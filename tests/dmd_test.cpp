@@ -1,10 +1,12 @@
 // Tests for exact DMD: spectrum recovery on known LTI systems,
-// reconstruction fidelity, and the Eq. 9/10 spectrum quantities.
+// reconstruction fidelity, and the Eq. 9/10 spectrum quantities (read
+// through the result wrapped as an mrDMD node, as the engine reads them).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "core/mrdmd_node.hpp"
 #include "dmd/dmd.hpp"
 #include "dmd/spectrum.hpp"
 #include "linalg/blas.hpp"
@@ -13,9 +15,15 @@
 namespace imrdmd::dmd {
 namespace {
 
-using imrdmd::testing::max_abs_diff;
+using imrdmd::testing::as_node;
 using linalg::Complex;
 using linalg::Mat;
+
+// x(t) = Re( Phi diag(lambda^t) b ) at t = 0 .. steps-1.
+Mat reconstruct(const DmdResult& fit, std::size_t steps) {
+  return core::reconstruct_nodes({as_node(fit, steps)}, fit.modes.rows(), 0,
+                                 steps, fit.dt);
+}
 
 // Synthesizes snapshots of x(t) = sum_k Re( c_k v_k lambda_k^t ) for known
 // (lambda, v) pairs, on `sensors` sensors.
@@ -78,7 +86,7 @@ TEST(Dmd, ReconstructionMatchesLtiData) {
   Rng rng(3);
   const Mat data = lti_snapshots(lambdas, 8, 50, rng);
   const DmdResult fit = dmd(data, 1.0);
-  const Mat recon = fit.reconstruct(50);
+  const Mat recon = reconstruct(fit, 50);
   EXPECT_LT(linalg::frobenius_diff(recon, data),
             1e-6 * linalg::frobenius_norm(data));
 }
@@ -91,25 +99,25 @@ TEST(Dmd, FrequenciesMatchEq9) {
   Rng rng(4);
   const Mat data = lti_snapshots({lambda, std::conj(lambda)}, 6, 40, rng);
   const DmdResult fit = dmd(data, dt);
-  const auto freqs = fit.frequencies();
-  ASSERT_GE(freqs.size(), 1u);
+  const auto points = as_node(fit, 40).spectrum(dt);
+  ASSERT_GE(points.size(), 1u);
   const double expected = omega / (2.0 * M_PI * dt);
-  for (double f : freqs) EXPECT_NEAR(f, expected, 1e-6);
+  for (const auto& point : points) {
+    EXPECT_NEAR(point.frequency_hz, expected, 1e-6);
+  }
 }
 
 TEST(Dmd, GrowthRateSignMatchesDynamics) {
   Rng rng(5);
   const Mat growing = lti_snapshots({Complex(1.05, 0)}, 5, 30, rng);
   const DmdResult gfit = dmd(growing, 1.0);
-  const auto gpsi = gfit.continuous_eigenvalues();
-  ASSERT_GE(gpsi.size(), 1u);
-  EXPECT_GT(gpsi[0].real(), 0.0);
+  ASSERT_GE(gfit.mode_count(), 1u);
+  EXPECT_GT(as_node(gfit, 30).growth_rate(0, 1.0), 0.0);
 
   const Mat decaying = lti_snapshots({Complex(0.9, 0)}, 5, 30, rng);
   const DmdResult dfit = dmd(decaying, 1.0);
-  const auto dpsi = dfit.continuous_eigenvalues();
-  ASSERT_GE(dpsi.size(), 1u);
-  EXPECT_LT(dpsi[0].real(), 0.0);
+  ASSERT_GE(dfit.mode_count(), 1u);
+  EXPECT_LT(as_node(dfit, 30).growth_rate(0, 1.0), 0.0);
 }
 
 TEST(Dmd, PowerIsSquaredModeNorm) {
@@ -119,13 +127,13 @@ TEST(Dmd, PowerIsSquaredModeNorm) {
                      0.98 * std::exp(Complex(0, -0.4))},
                     7, 40, rng);
   const DmdResult fit = dmd(data, 1.0);
-  const auto powers = fit.powers();
+  const core::MrdmdNode node = as_node(fit, 40);
   for (std::size_t i = 0; i < fit.mode_count(); ++i) {
     double norm_sq = 0.0;
     for (std::size_t p = 0; p < fit.modes.rows(); ++p) {
       norm_sq += std::norm(fit.modes(p, i));
     }
-    EXPECT_DOUBLE_EQ(powers[i], norm_sq);
+    EXPECT_DOUBLE_EQ(node.power(i), norm_sq);
   }
 }
 
@@ -165,26 +173,8 @@ TEST(Dmd, TooFewSnapshotsThrows) {
 TEST(Dmd, ZeroDataYieldsZeroModes) {
   const DmdResult fit = dmd(Mat(5, 10), 1.0);
   EXPECT_EQ(fit.mode_count(), 0u);
-  const Mat recon = fit.reconstruct(10);
+  const Mat recon = reconstruct(fit, 10);
   EXPECT_EQ(linalg::frobenius_norm(recon), 0.0);
-}
-
-TEST(Spectrum, PointsMatchResultAccessors) {
-  Rng rng(9);
-  const Mat data =
-      lti_snapshots({0.97 * std::exp(Complex(0, 0.5)),
-                     0.97 * std::exp(Complex(0, -0.5))},
-                    6, 50, rng);
-  const DmdResult fit = dmd(data, 0.5);
-  const auto points = spectrum(fit);
-  const auto freqs = fit.frequencies();
-  const auto powers = fit.powers();
-  ASSERT_EQ(points.size(), freqs.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(points[i].frequency_hz, freqs[i]);
-    EXPECT_DOUBLE_EQ(points[i].power, powers[i]);
-    EXPECT_DOUBLE_EQ(points[i].amplitude, std::sqrt(powers[i]));
-  }
 }
 
 TEST(Spectrum, BandSelectionFilters) {
@@ -198,16 +188,22 @@ TEST(Spectrum, BandSelectionFilters) {
   options.use_svht = false;
   options.max_rank = 4;
   const DmdResult fit = dmd(data, 1.0, options);
+  const auto points = as_node(fit, 120).spectrum(1.0);
+  const auto count_in = [&](const ModeBand& band) {
+    return std::count_if(points.begin(), points.end(), [&](const auto& pt) {
+      return band.contains(pt.frequency_hz, pt.power);
+    });
+  };
 
   ModeBand slow_band;
   slow_band.max_frequency_hz = 0.05;  // Hz; omega=0.05 -> f~0.008
-  const auto slow = select_modes(fit, slow_band);
+  const auto slow = count_in(slow_band);
   ModeBand fast_band;
   fast_band.min_frequency_hz = 0.05;
-  const auto fast = select_modes(fit, fast_band);
-  EXPECT_EQ(slow.size() + fast.size(), fit.mode_count());
-  EXPECT_EQ(slow.size(), 2u);
-  EXPECT_EQ(fast.size(), 2u);
+  const auto fast = count_in(fast_band);
+  EXPECT_EQ(static_cast<std::size_t>(slow + fast), fit.mode_count());
+  EXPECT_EQ(slow, 2);
+  EXPECT_EQ(fast, 2);
 }
 
 // Property sweep: DMD must reproduce LTI data for many spectra and sizes.
@@ -229,7 +225,7 @@ TEST_P(DmdLtiSweep, ReconstructsAndRecoversSpectrum) {
                                  static_cast<std::size_t>(c.steps), rng);
   const DmdResult fit = dmd(data, 1.0);
   expect_contains_eigenvalues(fit.eigenvalues, {lambda}, 1e-6);
-  const Mat recon = fit.reconstruct(static_cast<std::size_t>(c.steps));
+  const Mat recon = reconstruct(fit, static_cast<std::size_t>(c.steps));
   EXPECT_LT(linalg::frobenius_diff(recon, data),
             1e-5 * (linalg::frobenius_norm(data) + 1.0));
 }

@@ -240,6 +240,50 @@ TEST(Mrdmd, CriterionAblationBothRun) {
   }
 }
 
+TEST(MrdmdNode, StridedEvaluationMatchesDenseColumns) {
+  // A node away from t = 0 with its own stride, evaluated every third
+  // snapshot from an out_t0 that is not on the node's sample grid.
+  Rng rng(14);
+  MrdmdNode node;
+  node.t_begin = 10;
+  node.t_end = 40;
+  node.stride = 3;
+  node.modes = CMat(5, 3);
+  for (std::size_t i = 0; i < node.modes.size(); ++i) {
+    node.modes.data()[i] = Complex(rng.normal(), rng.normal());
+  }
+  node.eigenvalues = {0.99 * std::exp(Complex(0, 0.3)),
+                      0.99 * std::exp(Complex(0, -0.3)), Complex(0.97, 0)};
+  node.amplitudes = {Complex(1.5, -0.5), Complex(1.5, 0.5), Complex(-2, 0)};
+
+  const std::size_t out_t0 = 5;  // 5 % 3 != 10 % 3
+  const std::size_t step = 3;
+  Mat dense(5, 46);  // snapshots 5 .. 50
+  accumulate_node(node, 1.0, nullptr, dense, out_t0);
+  // Column c holds snapshot 5 + 3c; c = 2 .. 11 (11 .. 38) is in the window.
+  constexpr double kSentinel = -7.25;
+  Mat strided(5, 16);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 16; ++c) {
+      if (c < 2 || c > 11) strided(r, c) = kSentinel;
+    }
+  }
+  accumulate_node(node, 1.0, nullptr, strided, out_t0, step);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 16; ++c) {
+      if (c < 2 || c > 11) {
+        EXPECT_EQ(strided(r, c), kSentinel) << "r=" << r << " c=" << c;
+        continue;
+      }
+      const double want = dense(r, c * step);
+      EXPECT_NEAR(strided(r, c), want, 1e-12 * (std::abs(want) + 1.0))
+          << "r=" << r << " c=" << c;
+    }
+  }
+  EXPECT_THROW(accumulate_node(node, 1.0, nullptr, strided, out_t0, 0),
+               InvalidArgument);
+}
+
 // Property sweep over level counts: deeper trees never lose accuracy.
 class MrdmdLevels : public ::testing::TestWithParam<int> {};
 

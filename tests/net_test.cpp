@@ -24,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chunk_source_conformance.hpp"
@@ -75,15 +76,30 @@ using imrdmd::testing::FaultProxy;
 using imrdmd::testing::for_each_stride;
 using imrdmd::testing::planted_multiscale;
 
-/// A fresh (non-resuming) journal path — TcpChunkSource deliberately
-/// resumes an existing file, so every test gets its own.
-std::string fresh_journal_path(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  const std::string path = ::testing::TempDir() + "/net_" + tag + "_" +
-                           std::to_string(counter.fetch_add(1)) + ".jl";
-  std::remove(path.c_str());
-  return path;
-}
+/// A fresh (non-resuming) journal path whose file is removed again when
+/// this goes out of scope — TcpChunkSource deliberately resumes an existing
+/// file, so every test gets its own, and none outlives its test. Declare it
+/// before the source that writes it.
+class ScopedJournalPath {
+ public:
+  explicit ScopedJournalPath(const std::string& tag)
+      : path_(::testing::TempDir() + "/net_" + tag + "_" +
+              std::to_string(next_id_.fetch_add(1)) + ".jl") {
+    std::remove(path_.c_str());
+  }
+  ScopedJournalPath(ScopedJournalPath&& other) noexcept
+      : path_(std::exchange(other.path_, std::string())) {}
+  ScopedJournalPath& operator=(ScopedJournalPath&&) = delete;
+  ~ScopedJournalPath() {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+
+  const std::string& str() const { return path_; }
+
+ private:
+  static inline std::atomic<int> next_id_{0};
+  std::string path_;
+};
 
 void expect_mat_bitwise(const Mat& a, const Mat& b) {
   ASSERT_EQ(a.rows(), b.rows());
@@ -233,7 +249,8 @@ TEST(NetWire, MalformedPeersAreRejectedTyped) {
 // --- chunk journal --------------------------------------------------------
 
 TEST(NetJournal, AppendReadReopenBitwise) {
-  const std::string path = fresh_journal_path("journal");
+  const ScopedJournalPath journal_path("journal");
+  const std::string& path = journal_path.str();
   Rng rng(11);
   const Mat data = planted_multiscale(4, 16, 0.02, rng);
   {
@@ -269,7 +286,6 @@ TEST(NetJournal, AppendReadReopenBitwise) {
   }
   // The recorded sensor width is authoritative.
   EXPECT_THROW(ChunkJournal(path, 5), Error);
-  std::remove(path.c_str());
 }
 
 TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
@@ -277,7 +293,8 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
   const Mat data = planted_multiscale(4, 8, 0.02, rng);
   {
     // A kill mid-append leaves a partial record; reopen discards it.
-    const std::string path = fresh_journal_path("torn");
+    const ScopedJournalPath journal_path("torn");
+    const std::string& path = journal_path.str();
     {
       ChunkJournal journal(path, 4);
       journal.append(data.block(0, 0, 4, 4));
@@ -294,11 +311,11 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
     journal.append(data.block(0, 0, 4, 4));  // append lands cleanly after
     EXPECT_EQ(journal.chunks(), 3u);
     expect_mat_bitwise(journal.read_chunk(2), data.block(0, 0, 4, 4));
-    std::remove(path.c_str());
   }
   {
     // A COMPLETE record whose digest fails is real corruption, not debris.
-    const std::string path = fresh_journal_path("corrupt");
+    const ScopedJournalPath journal_path("corrupt");
+    const std::string& path = journal_path.str();
     {
       ChunkJournal journal(path, 4);
       journal.append(data.block(0, 0, 4, 4));
@@ -312,7 +329,6 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
     ASSERT_EQ(::pwrite(fd, &evil, 1, 40), 1);
     ::close(fd);
     EXPECT_THROW(ChunkJournal(path, 4), Error);
-    std::remove(path.c_str());
   }
   for (const std::uint64_t cols :
        {std::uint64_t{1} << 50, std::uint64_t{1} << 59}) {
@@ -320,7 +336,8 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
     // a torn tail, decided before allocating: 2^50 columns must not
     // allocate, and 2^59 columns of 4 sensors (2^64 bytes) must not wrap
     // to an empty payload.
-    const std::string path = fresh_journal_path("oversize");
+    const ScopedJournalPath journal_path("oversize");
+    const std::string& path = journal_path.str();
     {
       ChunkJournal journal(path, 4);
       journal.append(data.block(0, 0, 4, 4));
@@ -337,7 +354,6 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
     ChunkJournal journal(path, 4);
     EXPECT_EQ(journal.chunks(), 1u);
     expect_mat_bitwise(journal.read_chunk(0), data.block(0, 0, 4, 4));
-    std::remove(path.c_str());
   }
 }
 
@@ -346,8 +362,9 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
 TEST(NetTcpSource, SequenceVerdictsAndCloseAndFail) {
   Rng rng(13);
   const Mat data = planted_multiscale(3, 10, 0.02, rng);
+  const ScopedJournalPath journal_path("verdicts");
   TcpChunkSource::Options options;
-  options.journal_path = fresh_journal_path("verdicts");
+  options.journal_path = journal_path.str();
   TcpChunkSource source(3, options);
 
   EXPECT_EQ(source.append_chunk(1, data.block(0, 0, 3, 4)),
@@ -371,13 +388,13 @@ TEST(NetTcpSource, SequenceVerdictsAndCloseAndFail) {
   source.close();
   consumer.join();
   EXPECT_FALSE(blocked.has_value());
-  std::remove(options.journal_path.c_str());
 }
 
 TEST(NetTcpSource, FailRethrowsAndIdleTimeoutIsTyped) {
   {
+    const ScopedJournalPath journal_path("fail");
     TcpChunkSource::Options options;
-    options.journal_path = fresh_journal_path("fail");
+    options.journal_path = journal_path.str();
     TcpChunkSource source(2, options);
     std::exception_ptr seen;
     std::thread consumer([&] {
@@ -392,16 +409,15 @@ TEST(NetTcpSource, FailRethrowsAndIdleTimeoutIsTyped) {
     consumer.join();
     ASSERT_TRUE(seen != nullptr);
     EXPECT_THROW(std::rethrow_exception(seen), NetError);
-    std::remove(options.journal_path.c_str());
   }
   {
     // A silent shipper becomes a typed failure, not a hung engine.
+    const ScopedJournalPath journal_path("idle");
     TcpChunkSource::Options options;
-    options.journal_path = fresh_journal_path("idle");
+    options.journal_path = journal_path.str();
     options.idle_timeout_seconds = 0.05;
     TcpChunkSource source(2, options);
     EXPECT_THROW(source.next_chunk(), NetError);
-    std::remove(options.journal_path.c_str());
   }
 }
 
@@ -419,12 +435,13 @@ struct TcpSourceTraits {
   static constexpr std::size_t kSensors = 5;
   static constexpr std::size_t kTotalSnapshots = 23;
   struct Fixture {
+    ScopedJournalPath journal_path{"conformance"};
     std::unique_ptr<net::TcpChunkSource> source;
   };
   static std::unique_ptr<Fixture> make() {
-    net::TcpChunkSource::Options options;
-    options.journal_path = fresh_journal_path("conformance");
     auto fixture = std::make_unique<Fixture>();
+    net::TcpChunkSource::Options options;
+    options.journal_path = fixture->journal_path.str();
     fixture->source =
         std::make_unique<net::TcpChunkSource>(kSensors, options);
     // A fully received, ended stream with varying chunk widths.
@@ -473,8 +490,9 @@ TEST(NetShipperListener, EndToEndBitwiseWithMetrics) {
   const Mat data = planted_multiscale(6, 45, 0.02, rng);
   serve::MetricsRegistry metrics;
 
+  const ScopedJournalPath journal_path("e2e");
   TcpChunkSource::Options source_options;
-  source_options.journal_path = fresh_journal_path("e2e");
+  source_options.journal_path = journal_path.str();
   TcpChunkSource received(6, source_options);
 
   IngestListenerOptions listener_options;
@@ -515,8 +533,9 @@ TEST(NetShipperListener, EndToEndBitwiseWithMetrics) {
 TEST(NetShipperListener, PathologicalSegmentationArrivesIntact) {
   Rng rng(22);
   const Mat data = planted_multiscale(4, 24, 0.02, rng);
+  const ScopedJournalPath journal_path("split");
   TcpChunkSource::Options source_options;
-  source_options.journal_path = fresh_journal_path("split");
+  source_options.journal_path = journal_path.str();
   TcpChunkSource received(4, source_options);
   IngestListener listener(IngestListenerOptions{});
   listener.register_stream("s0", &received);
@@ -543,8 +562,9 @@ TEST(NetShipperListener, KilledMidFrameReconnectsAndResumesBitwise) {
   Rng rng(23);
   const Mat data = planted_multiscale(6, 45, 0.02, rng);
   serve::MetricsRegistry metrics;
+  const ScopedJournalPath journal_path("kill");
   TcpChunkSource::Options source_options;
-  source_options.journal_path = fresh_journal_path("kill");
+  source_options.journal_path = journal_path.str();
   TcpChunkSource received(6, source_options);
   IngestListenerOptions listener_options;
   listener_options.metrics = &metrics;
@@ -579,8 +599,9 @@ TEST(NetShipperListener, KilledMidFrameReconnectsAndResumesBitwise) {
 TEST(NetShipperListener, DelayedAcksTimeOutThenReconnect) {
   Rng rng(24);
   const Mat data = planted_multiscale(4, 24, 0.02, rng);
+  const ScopedJournalPath journal_path("delay");
   TcpChunkSource::Options source_options;
-  source_options.journal_path = fresh_journal_path("delay");
+  source_options.journal_path = journal_path.str();
   TcpChunkSource received(4, source_options);
   IngestListener listener(IngestListenerOptions{});
   listener.register_stream("s0", &received);
@@ -608,8 +629,9 @@ TEST(NetShipperListener, CorruptedFrameRejectedThenRecovered) {
   Rng rng(25);
   const Mat data = planted_multiscale(6, 45, 0.02, rng);
   serve::MetricsRegistry metrics;
+  const ScopedJournalPath journal_path("corruptwire");
   TcpChunkSource::Options source_options;
-  source_options.journal_path = fresh_journal_path("corruptwire");
+  source_options.journal_path = journal_path.str();
   TcpChunkSource received(6, source_options);
   IngestListenerOptions listener_options;
   listener_options.metrics = &metrics;
@@ -646,8 +668,9 @@ TEST(NetShipperListener, CorruptedFrameRejectedThenRecovered) {
 TEST(NetShipperListener, UnknownStreamAndSensorMismatchAreFatalTyped) {
   Rng rng(26);
   const Mat data = planted_multiscale(4, 24, 0.02, rng);
+  const ScopedJournalPath journal_path("reject");
   TcpChunkSource::Options source_options;
-  source_options.journal_path = fresh_journal_path("reject");
+  source_options.journal_path = journal_path.str();
   TcpChunkSource received(6, source_options);
   IngestListener listener(IngestListenerOptions{});
   listener.register_stream("s0", &received);
@@ -683,11 +706,13 @@ TEST(NetShipperListener, ConcurrentShippersStayIsolated) {
   const Mat data_b = planted_multiscale(7, 36, 0.02, rng_b);
   serve::MetricsRegistry metrics;
 
+  const ScopedJournalPath journal_a("iso_a");
+  const ScopedJournalPath journal_b("iso_b");
   TcpChunkSource::Options options_a;
-  options_a.journal_path = fresh_journal_path("iso_a");
+  options_a.journal_path = journal_a.str();
   TcpChunkSource received_a(5, options_a);
   TcpChunkSource::Options options_b;
-  options_b.journal_path = fresh_journal_path("iso_b");
+  options_b.journal_path = journal_b.str();
   TcpChunkSource received_b(7, options_b);
 
   IngestListenerOptions listener_options;
@@ -801,7 +826,8 @@ void socket_fed_tenant_stops_checkpoints_and_resumes_bitwise(
   }
   ASSERT_EQ(reference.size(), 41u);
 
-  const std::string journal_path = fresh_journal_path("tenant");
+  const ScopedJournalPath journal("tenant");
+  const std::string& journal_path = journal.str();
   const std::string checkpoint_path =
       ::testing::TempDir() + "/net_tenant_stop.ckpt";
   std::remove(checkpoint_path.c_str());
@@ -887,7 +913,6 @@ void socket_fed_tenant_stops_checkpoints_and_resumes_bitwise(
     expect_snapshot_equal(rest.snapshots()[c], reference[delivered + c]);
   }
   std::remove(checkpoint_path.c_str());
-  std::remove(journal_path.c_str());
 }
 
 TEST(NetTenant, SocketFedTenantStopsCheckpointsAndResumesBitwise) {
@@ -899,18 +924,19 @@ TEST(NetTenant, FactoryMintsStreamsOnFirstHello) {
   // stream, the on_new_stream factory creates the source on first hello.
   Rng rng(32);
   const Mat data = planted_multiscale(4, 24, 0.02, rng);
+  std::vector<ScopedJournalPath> minted_journals;
   std::vector<std::unique_ptr<TcpChunkSource>> minted;
   std::mutex minted_mutex;
 
   IngestListenerOptions options;
   options.on_new_stream = [&](const std::string& stream_id,
                               std::size_t sensors) -> TcpChunkSource* {
-    TcpChunkSource::Options source_options;
-    source_options.journal_path = fresh_journal_path("minted_" + stream_id);
-    auto source =
-        std::make_unique<TcpChunkSource>(sensors, source_options);
     std::lock_guard<std::mutex> lock(minted_mutex);
-    minted.push_back(std::move(source));
+    minted_journals.emplace_back("minted_" + stream_id);
+    TcpChunkSource::Options source_options;
+    source_options.journal_path = minted_journals.back().str();
+    minted.push_back(
+        std::make_unique<TcpChunkSource>(sensors, source_options));
     return minted.back().get();
   };
   IngestListener listener(options);

@@ -10,6 +10,8 @@
 
 #include "common/rng.hpp"
 #include "core/assessor.hpp"
+#include "core/mrdmd_node.hpp"
+#include "dmd/dmd.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
@@ -72,6 +74,17 @@ inline linalg::Mat planted_multiscale(std::size_t sensors, std::size_t steps,
     }
   }
   return m;
+}
+
+/// A plain DMD result as an mrDMD node over [0, steps) at stride 1, so its
+/// spectrum and reconstruction come from the engine's node functions.
+inline core::MrdmdNode as_node(const dmd::DmdResult& fit, std::size_t steps) {
+  core::MrdmdNode node;
+  node.t_end = steps;
+  node.modes = fit.modes;
+  node.eigenvalues = fit.eigenvalues;
+  node.amplitudes = fit.amplitudes;
+  return node;
 }
 
 /// The coarse strides the engine tests run every configuration at: flat,
