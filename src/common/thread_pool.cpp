@@ -6,6 +6,12 @@
 
 namespace imrdmd {
 
+namespace {
+/// Set for the lifetime of every pool's worker threads: parallel_for reads
+/// it to run nested ranges inline instead of blocking a worker.
+thread_local bool on_pool_worker = false;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -37,12 +43,8 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
+  on_pool_worker = true;
   for (;;) {
     std::packaged_task<void()> task;
     {
@@ -51,14 +53,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();  // exceptions are captured into the task's future
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 
@@ -83,7 +79,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   const std::size_t count = end - begin;
   const std::size_t chunks =
       std::min(workers.size() * 4, std::max<std::size_t>(1, count / std::max<std::size_t>(grain, 1)));
-  if (chunks <= 1) {
+  if (chunks <= 1 || on_pool_worker) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -111,21 +107,6 @@ void wait_all(std::vector<std::future<void>>& futures) {
     }
   }
   if (failure) std::rethrow_exception(failure);
-}
-
-void run_lanes(std::size_t lanes, const std::function<void(std::size_t)>& fn,
-               ThreadPool* pool) {
-  if (lanes <= 1) {
-    fn(0);
-    return;
-  }
-  ThreadPool& target = pool != nullptr ? *pool : global_pool();
-  std::vector<std::future<void>> futures;
-  futures.reserve(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    futures.push_back(target.submit([&fn, lane] { fn(lane); }));
-  }
-  wait_all(futures);  // lanes hold caller state: drain before unwinding
 }
 
 }  // namespace imrdmd

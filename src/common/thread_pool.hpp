@@ -2,8 +2,8 @@
 //
 // OpenMP covers the dense kernels in linalg/; this pool exists for task-level
 // parallelism that OpenMP pragmas express poorly: the embarrassingly parallel
-// sub-tree updates of I-mrDMD (paper Sec. III-A.1) and the asynchronous
-// stale-level recomputation behind `recompute_on_drift`.
+// per-level bin fits of mrDMD and the per-group model updates of the
+// engine's worker lanes (paper Sec. III-A.1).
 #pragma once
 
 #include <condition_variable>
@@ -19,8 +19,9 @@ namespace imrdmd {
 
 /// Fixed-size worker pool with a FIFO queue.
 ///
-/// Tasks must not block on other tasks in the same pool (no nested waiting);
-/// parallel_for below partitions work up-front so it never violates this.
+/// A worker never waits on pool tasks: parallel_for below enforces that by
+/// running its range inline when called on a worker of any pool, so nested
+/// fan-out (lanes whose model fits spread their bins) cannot deadlock.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -38,9 +39,6 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
 
-  /// Blocks until every task submitted so far has completed.
-  void wait_idle();
-
  private:
   void worker_loop();
 
@@ -48,8 +46,6 @@ class ThreadPool {
   std::deque<std::packaged_task<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 
@@ -69,20 +65,12 @@ ThreadPool& global_pool();
 void wait_all(std::vector<std::future<void>>& futures);
 
 /// Runs fn(i) for i in [begin, end) across `pool` (or the global pool when
-/// null), blocking until complete. Exceptions from any chunk are rethrown.
-/// `grain` is the minimum indices per chunk.
+/// null), blocking until every chunk is done, then rethrows the first
+/// exception. `grain` is the minimum indices per chunk; the range splits
+/// into at most 4 x pool size chunks. On a worker thread of ANY pool, or
+/// when one chunk covers the range, it runs inline in index order instead.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr, std::size_t grain = 1);
-
-/// Runs fn(lane) for lane in [0, lanes): on the caller thread when lanes
-/// <= 1 (so the callee may legally fan out onto the pool itself),
-/// otherwise as one task per lane on `pool` (or the global pool when
-/// null), waiting for EVERY lane before returning or unwinding — lane
-/// functions typically hold references to caller stack state (wait_all
-/// discipline). This is the fleet drivers' worker-lane dispatch: lane l
-/// owns items l, l + lanes, l + 2*lanes, ... by convention of its fn.
-void run_lanes(std::size_t lanes, const std::function<void(std::size_t)>& fn,
-               ThreadPool* pool = nullptr);
 
 }  // namespace imrdmd

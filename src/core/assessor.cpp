@@ -217,9 +217,8 @@ struct Pulled {
 /// the queue is full (so a bursty source never runs more than `depth`
 /// chunks ahead of compute) and stopping once `budget` chunks have been
 /// pulled (so a chunk-bounded run never over-consumes the source). The
-/// producer is deliberately NOT a pool task: sources are free to use
-/// parallel_for themselves, and a pool task fanning back out onto its own
-/// pool would block a worker on work only that worker can run.
+/// producer is deliberately NOT a pool task: it blocks on its bounded queue
+/// for as long as compute lags, which would hold a pool worker hostage.
 ///
 /// A pulled chunk is never dropped: drain() stops the producer and returns
 /// every chunk that was queued but not yet popped, in pull order, so the
@@ -324,13 +323,11 @@ class ChunkPrefetcher {
 MagnitudeUpdate update_magnitudes(IncrementalMrdmd& model, const Mat& chunk,
                                   const dmd::ModeBand& band) {
   MagnitudeUpdate update;
-  WallTimer timer;
   if (!model.fitted()) {
     model.initial_fit(chunk);
   } else {
     update.report = model.partial_fit(chunk);
   }
-  update.fit_seconds = timer.seconds();
   update.magnitudes = model.magnitudes(&band);
   update.sensor_means = row_means(chunk);
   return update;
@@ -401,30 +398,20 @@ void Assessor::finalize_topology(std::size_t sensors) {
                               : config_.lanes;
   lanes_ = std::min(lanes_, std::max<std::size_t>(local_count, 1));
 
-  ImrdmdOptions model_options = config_.pipeline_options.imrdmd;
-  // A single lane runs on the caller thread, where the model may keep its
-  // parallel-bin fits (bitwise serial-identical per the determinism suite);
-  // with real lanes the updates are pool tasks and must not nest the pool.
-  if (lanes_ > 1) model_options.mrdmd.parallel_bins = false;
   // The deferred-monolithic constructor path already created the single
   // model (so model() works before the first chunk); every other path
   // creates the owned fine models here.
   if (stack_.fine_count() == 0) {
     for (std::size_t l = 0; l < local_count; ++l) {
-      stack_.add_fine(model_options);
+      stack_.add_fine(config_.pipeline_options.imrdmd);
     }
   }
-  // The coarse facility model runs unsharded on the caller thread of every
-  // engine replica, so it keeps the configured options as-is (its
-  // parallel-bin fits never nest the pool).
   if (config_.coarse_stride > 0 && !stack_.hierarchical()) {
     stack_.enable_coarse(groups_, sensors_, config_.coarse_stride,
                          config_.pipeline_options.imrdmd);
   }
 
   rebuild_owned_maps();
-  group_cost_ewma_.assign(local_count, 0.0);
-  rebalance_lanes();
 }
 
 void Assessor::rebuild_owned_maps() {
@@ -443,41 +430,6 @@ void Assessor::rebuild_owned_maps() {
     }
   }
   identity_rows_ = identity_rows_ && owned_rows_.size() == sensors_;
-}
-
-void Assessor::rebalance_lanes() {
-  const std::size_t local_count = local_end_ - local_begin_;
-  lane_groups_.assign(lanes_, {});
-  if (local_count == 0) return;
-  // LPT greedy over the cost model: group width scaled by the observed
-  // update-seconds EWMA once one exists (before the first chunk every
-  // EWMA is 0 and width alone balances). Deterministic: ties broken by
-  // lower group index, then lower lane index.
-  std::vector<std::pair<double, std::size_t>> order(local_count);
-  for (std::size_t l = 0; l < local_count; ++l) {
-    const double width =
-        static_cast<double>(groups_[local_begin_ + l].size());
-    const double ewma = group_cost_ewma_[l];
-    order[l] = {ewma > 0.0 ? width * ewma : width, l};
-  }
-  std::sort(order.begin(), order.end(),
-            [](const std::pair<double, std::size_t>& a,
-               const std::pair<double, std::size_t>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  std::vector<double> load(lanes_, 0.0);
-  for (const auto& [cost, l] : order) {
-    std::size_t lane = 0;
-    for (std::size_t k = 1; k < lanes_; ++k) {
-      if (load[k] < load[lane]) lane = k;
-    }
-    lane_groups_[lane].push_back(l);
-    load[lane] += cost;
-  }
-  // In-lane order is ascending local index (the merge is global-group
-  // ordered regardless; this just keeps per-lane traversal predictable).
-  for (auto& lane : lane_groups_) std::sort(lane.begin(), lane.end());
 }
 
 ThreadPool& Assessor::pool() const {
@@ -549,10 +501,10 @@ CoarseUpdate Assessor::fit_owned(const Mat& local_rows,
     offsets[l] = offsets[l - 1] + groups_[local_begin_ + l - 1].size();
   }
   const Mat& fine_input = hierarchical ? residual_rows : local_rows;
-  run_lanes(
-      lanes_,
+  parallel_for(
+      0, lanes_,
       [&](std::size_t lane) {
-        for (std::size_t l : lane_groups_[lane]) {
+        for (std::size_t l = lane; l < local_count; l += lanes_) {
           const std::size_t width = groups_[local_begin_ + l].size();
           Mat block;
           const Mat& input = row_block(fine_input, offsets[l], width, block);
@@ -657,16 +609,6 @@ AssessmentSnapshot Assessor::process_owned(const Mat& local_rows,
                                 snapshot.sensor_means.size()));
   }
 
-  // Feed the cost model: each local group's observed update seconds fold
-  // into its EWMA (first observation seeds it). rebalance_lanes() reads
-  // these at checkpoint boundaries only, so mid-interval snapshots stay
-  // bitwise independent of the timings.
-  for (std::size_t l = 0; l < local_count; ++l) {
-    const double fit = updates[l].fit_seconds;
-    group_cost_ewma_[l] = group_cost_ewma_[l] == 0.0
-                              ? fit
-                              : 0.7 * group_cost_ewma_[l] + 0.3 * fit;
-  }
   if (config_.checkpoint_policy.delta) journal_.record(local_rows);
 
   snapshots_seen_ += cols;
@@ -802,7 +744,6 @@ void Assessor::add_sensors(std::size_t group, const Mat& new_rows_history) {
   // The next delta checkpoint must rewrite its base: the journaled chunks
   // before the growth have the old width, so replay could not cross it.
   journal_.rebase();
-  rebalance_lanes();
 }
 
 bool Assessor::deliver(SnapshotSink& sink, AssessmentSnapshot&& snapshot,
@@ -831,11 +772,6 @@ void Assessor::maybe_checkpoint(SnapshotSink& sink, std::size_t chunk_index) {
   if (policy.every_n == 0 || chunks_processed_ % policy.every_n != 0) return;
   save_assessor_checkpoint_file(policy.path, *this);
   sink.on_checkpoint_written(policy.path, chunk_index);
-  // Checkpoint boundaries are the only place lane assignment may move:
-  // in between, the assignment is frozen so snapshots stay bitwise
-  // independent of wall-clock timings (a checkpoint is already a resume
-  // boundary, so a resumed engine rebalancing here matches).
-  rebalance_lanes();
 }
 
 RunSummary Assessor::run(ChunkSource& source, SnapshotSink& sink) {

@@ -82,7 +82,6 @@ struct MagnitudeUpdate {
   std::vector<double> magnitudes;
   /// Per-sensor chunk means (the values the baseline rule filters).
   std::vector<double> sensor_means;
-  double fit_seconds = 0.0;
 };
 
 /// Fits `chunk` into `model` (initial fit when unfitted, incremental
@@ -538,8 +537,7 @@ class Assessor {
                          std::vector<MagnitudeUpdate>* updates);
   /// fit_owned, then the merge of the per-group updates in deterministic
   /// group order (allgatherv in the distributed topology), the replicated
-  /// z-score stage, the lane cost model, the delta journal record, and
-  /// the counters.
+  /// z-score stage, the delta journal record, and the counters.
   AssessmentSnapshot process_owned(const Mat& local_rows,
                                    const Mat& coarse_chunk);
   /// Rebuilds owned_rows_ / group_of_sensor_ / local_row_of_sensor_ from
@@ -549,18 +547,12 @@ class Assessor {
   /// expected stream position (StreamDesync on mismatch — deterministic,
   /// so every rank throws together) and advances the expectation.
   void check_stream_position(std::size_t start, std::size_t cols);
-  /// Recomputes the cost-balanced lane assignment (LPT greedy over
-  /// width x observed-update-time EWMA; width alone before the first
-  /// chunk). Deterministic given the cost vector; outputs are bitwise
-  /// invariant under ANY assignment, so rebalancing never changes results.
-  void rebalance_lanes();
   /// Delivers one snapshot to the sink, parking it at the front of the
   /// redelivery queue if the sink throws. Returns the sink's keep-going
   /// verdict.
   bool deliver(SnapshotSink& sink, AssessmentSnapshot&& snapshot,
                RunSummary& summary);
-  /// The periodic checkpoint hook (dispatches on topology), followed by a
-  /// lane rebalance at the same boundary.
+  /// The periodic checkpoint hook (dispatches on topology).
   void maybe_checkpoint(SnapshotSink& sink, std::size_t chunk_index);
 
   AssessorConfig config_;
@@ -584,14 +576,6 @@ class Assessor {
   /// Machine sensor index -> row offset inside this rank's owned slice
   /// (npos when not owned).
   std::vector<std::size_t> local_row_of_sensor_;
-  /// Cost-balanced lane assignment: lane_groups_[lane] lists the LOCAL
-  /// group indices that lane updates, ascending. Recomputed at checkpoint
-  /// boundaries from group_cost_ewma_; results are bitwise invariant under
-  /// any assignment (merge order is global group order regardless).
-  std::vector<std::vector<std::size_t>> lane_groups_;
-  /// Per-local-group EWMA of the observed model-update seconds (0 until
-  /// the first chunk; the initial assignment then balances width alone).
-  std::vector<double> group_cost_ewma_;
   /// The replicated expected stream position of the next chunk
   /// (kUnknownPosition until a position is first observed or a resume sets
   /// it); the distributed per-chunk agreement raises StreamDesync when a

@@ -290,15 +290,7 @@ std::string part_path(const std::string& path, std::size_t writer,
 /// (Assessor / ModelStack / DeltaJournal). Defined only in this translation
 /// unit.
 struct CheckpointAccess {
-  /// `parallel_bins_override`, when non-null, is written in place of the
-  /// model's own mrdmd.parallel_bins. The engine forces that knob off on
-  /// its models as a nested-pool guard — a function of the LOCAL lane
-  /// count, which differs across lane/rank configurations — so model
-  /// sections canonicalize it to the configured pipeline value: checkpoint
-  /// bytes stay a pure function of stream + partition + options, invariant
-  /// across lane and rank counts.
-  static void put_model(std::ostream& out, const IncrementalMrdmd& model,
-                        const bool* parallel_bins_override = nullptr);
+  static void put_model(std::ostream& out, const IncrementalMrdmd& model);
   static IncrementalMrdmd get_model(BoundedReader& in);
   /// Magic, stage header, partition and hierarchy map, then `writers`.
   static void put_preamble(std::ostream& out, const Assessor& assessor,
@@ -363,9 +355,9 @@ IncrementalMrdmd get_model_section(BoundedReader& in, const char* what) {
 // --- the section list: count, the coarse section first, then groups in
 // global order. The full save writes one inline; each part starts with one.
 
-std::string model_image(const IncrementalMrdmd& model, bool canonical_bins) {
+std::string model_image(const IncrementalMrdmd& model) {
   std::ostringstream buffer;
-  CheckpointAccess::put_model(buffer, model, &canonical_bins);
+  CheckpointAccess::put_model(buffer, model);
   return std::move(buffer).str();
 }
 
@@ -377,9 +369,9 @@ void put_section(std::ostream& out, const std::string& image) {
 /// The section count, then the coarse section when `coarse` is non-null;
 /// the caller writes the `groups` group sections after it.
 void put_list_head(std::ostream& out, std::size_t groups,
-                   const IncrementalMrdmd* coarse, bool canonical_bins) {
+                   const IncrementalMrdmd* coarse) {
   put_u64(out, groups + (coarse != nullptr ? 1 : 0));
-  if (coarse != nullptr) put_section(out, model_image(*coarse, canonical_bins));
+  if (coarse != nullptr) put_section(out, model_image(*coarse));
 }
 
 /// Reads a section list holding the coarse model when `coarse`, then the
@@ -625,23 +617,19 @@ std::vector<std::vector<linalg::Mat>> read_parts(const std::string& path,
 }  // namespace
 
 void CheckpointAccess::put_model(std::ostream& out,
-                                 const IncrementalMrdmd& model,
-                                 const bool* parallel_bins_override) {
+                                 const IncrementalMrdmd& model) {
   IMRDMD_REQUIRE_ARG(model.fitted(), "cannot checkpoint an unfitted model");
   out.write(kMagic, sizeof kMagic);
 
   // Options.
   const ImrdmdOptions& options = model.options_;
-  const bool parallel_bins = parallel_bins_override != nullptr
-                                 ? *parallel_bins_override
-                                 : options.mrdmd.parallel_bins;
   put_u64(out, options.mrdmd.max_levels);
   put_u64(out, options.mrdmd.max_cycles);
   put_u64(out, options.mrdmd.use_svht ? 1 : 0);
   put_u64(out, options.mrdmd.max_rank);
   put_f64(out, options.mrdmd.dt);
   put_u64(out, static_cast<std::uint64_t>(options.mrdmd.criterion));
-  put_u64(out, parallel_bins ? 1 : 0);
+  put_u64(out, options.mrdmd.parallel_bins ? 1 : 0);
   put_u64(out, static_cast<std::uint64_t>(options.mrdmd.amplitude_fit));
   put_u64(out, options.isvd.max_rank);
   put_f64(out, options.isvd.truncation_tol);
@@ -690,6 +678,9 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   options.drift_threshold = get_f64(in);
   options.recompute_on_drift = get_u64(in) != 0;
   options.keep_history = get_u64(in) != 0;
+  if (!(options.mrdmd.dt > 0.0) || !(options.isvd.truncation_tol >= 0.0)) {
+    throw ParseError("checkpoint dt or truncation_tol out of range");
+  }
 
   IncrementalMrdmd model(options);
   model.sensors_ = get_u64(in);
@@ -705,6 +696,18 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   for (auto& value : s) value = get_f64(in);
   linalg::Mat v = get_mat(in);
   const std::uint64_t cols_seen = get_u64(in);
+  // Shape coherence is checked before assembly, so a corrupt section fails
+  // here with ParseError rather than later with another error type.
+  const std::size_t sensors = model.sensors_;
+  const std::size_t steps = model.time_steps_;
+  const std::size_t stride1 = model.stride1_;
+  const std::size_t grid_cols = model.grid_.cols();
+  if (stride1 == 0 || model.grid_.rows() != sensors ||
+      grid_cols != steps / stride1 + (steps % stride1 != 0 ? 1 : 0) ||
+      u.rows() != sensors || u.cols() != rank || v.cols() != rank ||
+      v.rows() != cols_seen || v.rows() + 1 != grid_cols) {
+    throw ParseError("checkpoint level-1 state inconsistent");
+  }
   model.isvd_ = isvd::Isvd::from_state(options.isvd, std::move(u),
                                        std::move(s), std::move(v), cols_seen);
 
@@ -728,12 +731,23 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   model.fitted_ = true;
 
   // Consistency checks: the restored state must be internally coherent.
-  if (model.nodes_[0].t_end != model.time_steps_ ||
-      model.nodes_[0].level != 1) {
+  if (model.nodes_[0].t_end != steps || model.nodes_[0].level != 1) {
     throw ParseError("checkpoint root node inconsistent");
   }
-  if (model.isvd_.v().rows() + 1 != model.grid_.cols()) {
-    throw ParseError("checkpoint iSVD out of sync with the level-1 grid");
+  for (const MrdmdNode& node : model.nodes_) {
+    if (node.stride == 0 || node.t_begin >= node.t_end ||
+        node.t_end > steps || node.modes.cols() != node.mode_count() ||
+        (node.mode_count() > 0 && node.modes.rows() != sensors)) {
+      throw ParseError("checkpoint tree node inconsistent");
+    }
+  }
+  const linalg::Mat& history = model.history_;
+  if (model.cached_grid_recon_.rows() != sensors ||
+      model.cached_grid_recon_.cols() != grid_cols ||
+      (model.options_.keep_history
+           ? history.rows() != sensors || history.cols() != steps
+           : !history.empty())) {
+    throw ParseError("checkpoint caches out of sync with the level-1 grid");
   }
   return model;
 }
@@ -802,14 +816,11 @@ void CheckpointAccess::save_full(std::ostream* out, const Assessor& assessor) {
   IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
                      "cannot checkpoint a fleet before its first chunk");
 
-  const bool canonical_bins =
-      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
-  const auto put_head = [&assessor, out, canonical_bins] {
+  const auto put_head = [&assessor, out] {
     put_preamble(*out, assessor, 0);
     put_list_head(*out, assessor.groups_.size(),
                   assessor.stack_.hierarchical() ? &assessor.stack_.coarse()
-                                                 : nullptr,
-                  canonical_bins);
+                                                 : nullptr);
   };
   // Without a gather to wait for, the coarse image is written (and freed)
   // before the group images exist, so peak memory holds only one of them.
@@ -819,11 +830,11 @@ void CheckpointAccess::save_full(std::ostream* out, const Assessor& assessor) {
   // lanes (the same lane structure process() uses), in local group order.
   const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
   std::vector<std::string> sections(local_count);
-  run_lanes(
-      assessor.lanes_,
-      [&assessor, &sections, canonical_bins, local_count](std::size_t lane) {
+  parallel_for(
+      0, assessor.lanes_,
+      [&assessor, &sections, local_count](std::size_t lane) {
         for (std::size_t l = lane; l < local_count; l += assessor.lanes_) {
-          sections[l] = model_image(assessor.stack_.fine(l), canonical_bins);
+          sections[l] = model_image(assessor.stack_.fine(l));
         }
       },
       &assessor.pool());
@@ -871,8 +882,6 @@ void CheckpointAccess::save_delta(const std::string& path,
     // touches the files the still-current main references — a crash
     // before the main rewrite leaves the previous checkpoint whole.
     const std::size_t epoch = journal.epoch_ + 1;
-    const bool canonical_bins =
-        assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
     const std::size_t local_count =
         assessor.local_end_ - assessor.local_begin_;
     // Each section goes straight into the part buffer, so only one model
@@ -882,10 +891,9 @@ void CheckpointAccess::save_delta(const std::string& path,
     put_list_head(part, local_count,
                   root && assessor.stack_.hierarchical()
                       ? &assessor.stack_.coarse()
-                      : nullptr,
-                  canonical_bins);
+                      : nullptr);
     for (std::size_t l = 0; l < local_count; ++l) {
-      put_section(part, model_image(assessor.stack_.fine(l), canonical_bins));
+      put_section(part, model_image(assessor.stack_.fine(l)));
     }
     const std::string bytes = std::move(part).str();
     std::ofstream out(part_path(path, writer, epoch),
@@ -1119,18 +1127,10 @@ RestoredAssessor CheckpointAccess::assemble(
   for (std::size_t l = 0; l < local_count; ++l) {
     *assessor.stack_.fine_[l] =
         std::move(parsed.models[assessor.local_begin_ + l]);
-    // Re-apply the constructor's nested-pool guard to the *restored*
-    // models: a checkpoint saved from a single-lane engine carries
-    // parallel_bins = true, and resuming it with real lanes would fan each
-    // lane task back out onto (and block on) its own pool.
-    if (assessor.lanes_ > 1) {
-      assessor.stack_.fine_[l]->options_.mrdmd.parallel_bins = false;
-    }
   }
   if (parsed.coarse_stride > 0) {
     // Every rank restores the full coarse replica (it is replicated at
-    // runtime, so every rank needs it regardless of group ownership); the
-    // coarse model runs on the caller thread and keeps its own options.
+    // runtime, so every rank needs it regardless of group ownership).
     // The explicit hierarchy map replaces the stride grid the constructor
     // derived, which elastic growth may have extended.
     ModelStack& stack = assessor.stack_;

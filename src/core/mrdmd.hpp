@@ -46,7 +46,8 @@ struct MrdmdOptions {
   /// Snapshot interval in seconds (used for Hz conversions only).
   double dt = 1.0;
   SlowModeCriterion criterion = SlowModeCriterion::AbsLog;
-  /// Process the bins of a level in parallel (they touch disjoint columns).
+  /// Process the bins of a level in parallel on the global pool (they touch
+  /// disjoint columns); inline when the fit already runs on a pool worker.
   bool parallel_bins = true;
   /// Amplitude fitting for the retained slow modes (fitted after the slow
   /// selection, on the bin's subsampled snapshots). AllSnapshots is the

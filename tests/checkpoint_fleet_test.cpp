@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/assessor.hpp"
 #include "core/checkpoint.hpp"
 #include "dist/communicator.hpp"
@@ -160,12 +161,11 @@ TEST(FleetCheckpoint, RoundTripsThroughMemoryAndResaves) {
   for_each_stride(round_trips_through_memory_and_resaves);
 }
 
-void resume_with_more_lanes_reapplies_nested_pool_guard(std::size_t stride) {
-  // A checkpoint saved from a single-lane engine carries models with
-  // parallel_bins still enabled (the lane runs on the caller thread, where
-  // nesting is legal). Resuming with real lanes must force it off on the
-  // *restored* models, or each lane task would fan back out onto — and
-  // block on — its own pool.
+void resume_with_more_lanes_keeps_the_configured_options(std::size_t stride) {
+  // A single-lane engine keeps parallel_bins on (its lane runs on the
+  // caller thread, so the bins spread over the pool). Resumed at 3 lanes on
+  // a 1-worker pool, the models keep the configured options: a lane task's
+  // bin fits run inline because parallel_for never waits on a worker.
   const Mat data = checkpoint_data();
   PipelineOptions pipeline = checkpoint_pipeline_options();
   pipeline.imrdmd.mrdmd.parallel_bins = true;
@@ -181,12 +181,15 @@ void resume_with_more_lanes_reapplies_nested_pool_guard(std::size_t stride) {
 
   std::stringstream buffer;
   core::save_assessor_checkpoint(buffer, engine);
+  ThreadPool pool(1);
   AssessorResumeOptions resume;
   resume.lanes = 3;
+  resume.pool = &pool;
   core::RestoredAssessor restored =
       core::load_assessor_checkpoint(buffer, resume);
+  ASSERT_EQ(restored.assessor.lanes(), 3u);
   for (std::size_t g = 0; g < restored.assessor.group_count(); ++g) {
-    EXPECT_FALSE(restored.assessor.model(g).options().mrdmd.parallel_bins);
+    EXPECT_TRUE(restored.assessor.model(g).options().mrdmd.parallel_bins);
   }
   // And the resumed multi-lane engine still matches the single-lane
   // continuation bitwise.
@@ -196,8 +199,8 @@ void resume_with_more_lanes_reapplies_nested_pool_guard(std::size_t stride) {
   expect_snapshot_equal(a, b);
 }
 
-TEST(FleetCheckpoint, ResumeWithMoreLanesReappliesNestedPoolGuard) {
-  for_each_stride(resume_with_more_lanes_reapplies_nested_pool_guard);
+TEST(FleetCheckpoint, ResumeWithMoreLanesKeepsTheConfiguredOptions) {
+  for_each_stride(resume_with_more_lanes_keeps_the_configured_options);
 }
 
 void unstarted_engine_rejected(std::size_t stride) {

@@ -165,23 +165,29 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDrained) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      counter.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 20);
-}
-
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
   parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, RunsInlineOnAPoolWorker) {
+  // A worker never waits on pool tasks: a task on a 1-worker pool that
+  // fanned out onto that pool would wait on work only it could run.
+  ThreadPool pool(1);
+  std::vector<std::size_t> visited;
+  std::atomic<int> off_worker{0};
+  const auto task = [&] {
+    parallel_for(0, 8, [&](std::size_t i) { visited.push_back(i); }, &pool);
+    // Any pool's worker: the global pool's range stays on this thread too.
+    const std::thread::id self = std::this_thread::get_id();
+    parallel_for(0, 64, [&](std::size_t) {
+      if (std::this_thread::get_id() != self) off_worker.fetch_add(1);
+    });
+  };
+  pool.submit(task).get();
+  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(off_worker.load(), 0);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -60,7 +62,8 @@ TEST(Checkpoint, RestoredModelContinuesStreaming) {
   const auto r1 = model.partial_fit(chunk);
   const auto r2 = restored.partial_fit(chunk);
   EXPECT_EQ(r1.new_grid_columns, r2.new_grid_columns);
-  EXPECT_NEAR(r1.drift_estimate, r2.drift_estimate, 1e-9);
+  EXPECT_EQ(r1.drift_grid, r2.drift_grid);  // bitwise
+  EXPECT_EQ(r1.drift_estimate, r2.drift_estimate);
   EXPECT_EQ(imrdmd::testing::max_abs_diff(model.reconstruct(),
                                           restored.reconstruct()),
             0.0);
@@ -130,18 +133,62 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
     EXPECT_THROW(core::load_checkpoint(in), ParseError);
   }
 
-  // Fuzz every u64-aligned position with an all-ones word: loads must
-  // either succeed or throw a library Error — never exhaust memory or
-  // crash on a garbage length prefix.
-  for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8) {
+  // The mrDMD dt word sits after the magic and four option words; a NaN or
+  // non-positive dt would load and only fail the next fit's DMD.
+  for (const double dt : {std::nan(""), 0.0, -1.0}) {
     std::string corrupt = bytes;
-    const std::uint64_t garbage = ~std::uint64_t{0};
-    std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
+    std::memcpy(corrupt.data() + 40, &dt, sizeof dt);
     std::stringstream in(corrupt);
-    try {
-      core::load_checkpoint(in);
-    } catch (const Error&) {
-      // Expected for most offsets.
+    EXPECT_THROW(core::load_checkpoint(in), ParseError) << "dt " << dt;
+  }
+
+  // Fuzz every u64-aligned word with an all-ones word and with the word
+  // plus and minus one, on this section and on one that keeps its history:
+  // each load must either throw ParseError or yield a model whose
+  // magnitudes and reconstruction evaluate, whose node windows lie inside
+  // its timeline, and which re-saves to as many bytes as it was read from
+  // (a shape corruption that still parses leaves bytes unread) — never
+  // exhaust memory, crash, throw another error type, or load skewed state.
+  core::ImrdmdOptions with_history = small_options();
+  with_history.keep_history = true;
+  core::IncrementalMrdmd kept(with_history);
+  kept.initial_fit(data);
+  std::stringstream kept_full;
+  core::save_checkpoint(kept_full, kept);
+  for (const std::string& section : {bytes, kept_full.str()}) {
+    for (std::size_t offset = 8; offset + 8 <= section.size(); offset += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, section.data() + offset, sizeof word);
+      for (const std::uint64_t garbage :
+           {~std::uint64_t{0}, word + 1, word - 1}) {
+        std::string corrupt = section;
+        std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
+        std::stringstream in(corrupt);
+        std::optional<core::IncrementalMrdmd> loaded;
+        try {
+          loaded.emplace(core::load_checkpoint(in));
+        } catch (const ParseError&) {
+          continue;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "offset " << offset << " word " << garbage
+                        << ": untyped load error: " << e.what();
+          continue;
+        }
+        EXPECT_NO_THROW({
+          loaded->magnitudes();
+          loaded->reconstruct();
+        }) << "offset " << offset << " word " << garbage;
+        for (const core::MrdmdNode& node : loaded->nodes()) {
+          EXPECT_TRUE(node.t_begin < node.t_end &&
+                      node.t_end <= loaded->time_steps())
+              << "offset " << offset << " word " << garbage
+              << ": node window outside the timeline";
+        }
+        std::stringstream resaved;
+        core::save_checkpoint(resaved, *loaded);
+        EXPECT_EQ(resaved.str().size(), section.size())
+            << "offset " << offset << " word " << garbage;
+      }
     }
   }
 }
