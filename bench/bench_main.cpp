@@ -177,7 +177,7 @@ int main(int argc, char** argv) try {
 
   bench::banner(
       "Unified runner: iSVD hot-path suite + per-figure benches",
-      "blocked workspace updates sustain >= 1.5x the per-column baseline");
+      "blocked workspace updates beat the per-column baseline");
 
   const std::size_t sensors = full ? 4392 : (quick ? 256 : 1024);
   const std::size_t initial_cols = quick ? 64 : 96;

@@ -7,7 +7,11 @@
 // contract while it runs. Not a paper artifact: these curves track the
 // substrate every experiment is built from, and the emitted
 // BENCH_linalg.json records speedup_vs_reference per kernel so CI can
-// watch accelerated backends stay accelerated.
+// watch accelerated backends stay accelerated. The two iSVD cores are also
+// timed through the broken-arrow solver (isvd/arrow_svd.hpp) that
+// one-column updates take instead of the Jacobi SVD, as speedup_vs_jacobi
+// against the reference backend (the solver's accuracy is gated by its
+// unit tests).
 //
 // Exit status: 0 when every backend stays inside its accuracy band;
 // nonzero on divergence (the speedups themselves are informational —
@@ -24,6 +28,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "isvd/arrow_svd.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
@@ -288,6 +293,44 @@ int main(int argc, char** argv) try {
     curves.push_back(std::move(curve));
   }
 
+  struct ArrowTiming {
+    std::string kernel;
+    double mean_seconds;
+    double speedup_vs_jacobi;
+  };
+  std::vector<ArrowTiming> arrow;
+  std::printf("broken-arrow core solver\n");
+  for (std::size_t shape = 0; shape < 2; ++shape) {
+    const SvdShape& svd_shape = svd_shapes[shape];
+    const linalg::Mat& x = svd_shape.x;
+    const std::size_t n = x.rows() - 1;
+    std::vector<double> s(n);
+    std::vector<double> m(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = x(i, i);
+      m[i] = x(i, n);
+    }
+    linalg::SvdResult svd;
+    isvd::ArrowSvdWorkspace ws;
+    const RunStats stats = time_repeated(
+        [&](std::size_t) {
+          for (int it = 0; it < svd_shape.iters; ++it) {
+            isvd::arrow_svd_into(s, m, x(n, n), svd, ws);
+          }
+        },
+        repeats, 1);
+    const double seconds = stats.mean / svd_shape.iters;
+    const std::vector<KernelTiming>& ref_kernels = curves.front().kernels;
+    const auto jacobi = std::find_if(
+        ref_kernels.begin(), ref_kernels.end(),
+        [&](const KernelTiming& k) { return k.kernel == svd_shape.kernel; });
+    arrow.push_back({"arrow_core_" + std::to_string(x.rows()), seconds,
+                     seconds > 0.0 ? jacobi->mean_seconds / seconds : 1.0});
+    std::printf("  %-17s %9.1f us  speedup_vs_jacobi %5.2fx\n",
+                arrow.back().kernel.c_str(), seconds * 1e6,
+                arrow.back().speedup_vs_jacobi);
+  }
+
   JsonWriter json;
   json.begin_object();
   json.field("bench", "linalg_backends");
@@ -322,6 +365,16 @@ int main(int argc, char** argv) try {
       json.end_object();
     }
     json.end_array();
+    json.end_object();
+  }
+  json.end_array();
+  json.key("arrow_core");
+  json.begin_array();
+  for (const ArrowTiming& a : arrow) {
+    json.begin_object();
+    json.field("kernel", a.kernel);
+    json.field("mean_seconds", a.mean_seconds);
+    json.field("speedup_vs_jacobi", a.speedup_vs_jacobi);
     json.end_object();
   }
   json.end_array();

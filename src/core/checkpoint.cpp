@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -148,6 +149,26 @@ linalg::CMat get_cmat(BoundedReader& in) {
   return m;
 }
 
+// Every value word of a model section must be finite: a NaN or infinity
+// would load and only surface in the next fit's SVD or eigensolver. Each
+// block is checked right after it is read, while it is still in cache.
+void require_finite(const double* values, std::size_t count,
+                    const char* what) {
+  if (!std::all_of(values, values + count,
+                   [](double v) { return std::isfinite(v); })) {
+    throw ParseError(std::string("checkpoint ") + what + " not finite");
+  }
+}
+
+void require_finite(const linalg::Mat& m, const char* what) {
+  require_finite(m.data(), m.size(), what);
+}
+
+void require_finite(const linalg::Complex* values, std::size_t count,
+                    const char* what) {
+  require_finite(reinterpret_cast<const double*>(values), 2 * count, what);
+}
+
 void put_node(std::ostream& out, const MrdmdNode& node) {
   put_u64(out, node.level);
   put_u64(out, node.bin_index);
@@ -176,8 +197,10 @@ MrdmdNode get_node(BoundedReader& in) {
   node.t_end = get_u64(in);
   node.stride = get_u64(in);
   node.rho = get_f64(in);
+  require_finite(&node.rho, 1, "node rho");
   node.svd_rank = get_u64(in);
   node.modes = get_cmat(in);
+  require_finite(node.modes.data(), node.modes.size(), "node modes");
   const std::uint64_t modes = get_u64(in);
   // Each mode carries 4 doubles (eigenvalue + amplitude, re/im); bound the
   // count before resize so a garbage prefix cannot drive the allocation.
@@ -185,16 +208,13 @@ MrdmdNode get_node(BoundedReader& in) {
   in.require(modes * 4 * sizeof(double), "node modes");
   node.eigenvalues.resize(modes);
   node.amplitudes.resize(modes);
-  for (auto& value : node.eigenvalues) {
-    const double re = get_f64(in);
-    const double im = get_f64(in);
-    value = {re, im};
-  }
-  for (auto& value : node.amplitudes) {
-    const double re = get_f64(in);
-    const double im = get_f64(in);
-    value = {re, im};
-  }
+  // std::complex<double> is laid out as its (re, im) pair, as written.
+  in.read(reinterpret_cast<char*>(node.eigenvalues.data()),
+          modes * sizeof(linalg::Complex), "node eigenvalues");
+  in.read(reinterpret_cast<char*>(node.amplitudes.data()),
+          modes * sizeof(linalg::Complex), "node amplitudes");
+  require_finite(node.eigenvalues.data(), modes, "node eigenvalues");
+  require_finite(node.amplitudes.data(), modes, "node amplitudes");
   return node;
 }
 
@@ -688,13 +708,21 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   model.stride1_ = get_u64(in);
 
   model.grid_ = get_mat(in);
+  require_finite(model.grid_, "level-1 grid");
   linalg::Mat u = get_mat(in);
+  require_finite(u, "level-1 U");
   const std::uint64_t rank = get_u64(in);
   if (rank > (1u << 26)) throw ParseError("checkpoint rank implausible");
   in.require(rank * sizeof(double), "singular values");
   std::vector<double> s(rank);
   for (auto& value : s) value = get_f64(in);
+  require_finite(s.data(), s.size(), "singular values");
+  // The next one-column update's core solver needs s >= 0, non-increasing.
+  if (!std::is_sorted(s.rbegin(), s.rend()) || (!s.empty() && s.back() < 0.0)) {
+    throw ParseError("checkpoint singular values negative or unsorted");
+  }
   linalg::Mat v = get_mat(in);
+  require_finite(v, "level-1 V");
   const std::uint64_t cols_seen = get_u64(in);
   // Shape coherence is checked before assembly, so a corrupt section fails
   // here with ParseError rather than later with another error type.
@@ -727,7 +755,9 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
     model.nodes_.push_back(get_node(in));
   }
   model.cached_grid_recon_ = get_mat(in);
+  require_finite(model.cached_grid_recon_, "cached reconstruction");
   model.history_ = get_mat(in);
+  require_finite(model.history_, "history");
   model.fitted_ = true;
 
   // Consistency checks: the restored state must be internally coherent.

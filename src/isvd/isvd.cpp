@@ -1,6 +1,7 @@
 #include "isvd/isvd.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
@@ -82,12 +83,19 @@ void Isvd::update_block(const Mat& src, std::size_t c0, std::size_t c,
   linalg::project_out(u_, ws.residual, ws.coeff, ws.coeff_pass);
   linalg::thin_qr_into(ws.residual, ws.qr, ws.qr_ws);  // Q: P x c, R: c x c
 
-  // Core matrix K = [diag(s), M; 0, R] of size (r+c) x (r+c).
-  ws.core.assign_zero(r + c, r + c);
-  for (std::size_t i = 0; i < r; ++i) ws.core(i, i) = s_[i];
-  ws.core.set_block(0, r, ws.coeff);
-  ws.core.set_block(r, r, ws.qr.r);
-  linalg::svd_into(ws.core, ws.core_svd, ws.svd_ws);
+  // Core matrix K = [diag(s), M; 0, R] of size (r+c) x (r+c). One column
+  // makes it a broken arrow, whose SVD is a secular equation in O(r^2);
+  // wider blocks take the dense Jacobi SVD.
+  if (c == 1) {
+    arrow_svd_into(s_, std::span<const double>(ws.coeff.data(), r),
+                   ws.qr.r(0, 0), ws.core_svd, ws.arrow);
+  } else {
+    ws.core.assign_zero(r + c, r + c);
+    for (std::size_t i = 0; i < r; ++i) ws.core(i, i) = s_[i];
+    ws.core.set_block(0, r, ws.coeff);
+    ws.core.set_block(r, r, ws.qr.r);
+    linalg::svd_into(ws.core, ws.core_svd, ws.svd_ws);
+  }
 
   // Rotate the outer factors: U <- [U Q] Uk, V <- [[V 0];[0 I]] Vk. The
   // rotated factor is built in a workspace buffer and swapped into place.

@@ -7,9 +7,13 @@
 //     X_seen  ~=  U diag(s) V^T,   U: P x r,  V: T_seen x r.
 //
 // Column updates:   project the new block onto span(U), orthogonalize the
-// residual (with one reorthogonalization pass), assemble the small core
-// matrix K = [diag(s), U^T B; 0, R_resid], take its dense SVD and rotate the
-// outer factors. Cost per update: O(P r c + (r+c)^3), independent of T_seen.
+// residual (with one reorthogonalization pass), take the SVD of the small
+// core matrix K = [diag(s), U^T B; 0, R_resid] and rotate the outer
+// factors. For c > 1 columns K is assembled and decomposed by the dense
+// Jacobi SVD, O((r+c)^3) per sweep; for c = 1 it is a broken arrow whose
+// SVD is a secular equation, O(r^2) (isvd/arrow_svd.hpp). Rotating U costs
+// O(P (r+c)^2) and rotating V O(T_seen (r+c)^2), so only the U side of an
+// update is independent of T_seen.
 //
 // Row updates (add_rows) implement the paper's "future work" extension of
 // adding entire new sensors to an existing decomposition.
@@ -18,6 +22,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "isvd/arrow_svd.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -35,18 +40,18 @@ struct IsvdOptions {
 
 /// Scratch for Isvd::update. Every temporary of the blocked fast path —
 /// projection coefficients, residual, core matrix, extended/rotated outer
-/// factors, and the QR/SVD workspaces — lives here and is reused across
-/// updates, so once the buffers have warmed to the steady-state rank a
-/// column update performs no heap allocation (V's unbounded growth is
-/// amortized by geometric reservation). Isvd owns one internally; callers
-/// interleaving updates of many decompositions can share an external one
-/// via the two-argument update().
+/// factors, and the QR, Jacobi SVD and broken-arrow solver workspaces —
+/// lives here and is reused across updates, so once the buffers have warmed
+/// to the steady-state rank a column update performs no heap allocation
+/// (V's unbounded growth is amortized by geometric reservation). Isvd owns
+/// one internally; callers interleaving updates of many decompositions can
+/// share an external one via the two-argument update().
 struct IsvdWorkspace {
   linalg::Mat block;         // gathered slice of a wider-than-P input
   linalg::Mat coeff;         // r x c projection coefficients ("M")
   linalg::Mat coeff_pass;    // per-pass coefficients of project_out
   linalg::Mat residual;      // P x c out-of-subspace residual
-  linalg::Mat core;          // (r+c) x (r+c) core matrix K
+  linalg::Mat core;          // (r+c) x (r+c) core matrix K (c > 1)
   linalg::Mat u_ext;         // [U Q]
   linalg::Mat v_ext;         // [[V 0]; [0 I]]
   linalg::Mat u_next;        // rotated factors, swapped into the Isvd
@@ -55,6 +60,7 @@ struct IsvdWorkspace {
   linalg::QrWorkspace qr_ws;
   linalg::SvdResult core_svd;
   linalg::SvdWorkspace svd_ws;
+  ArrowSvdWorkspace arrow;   // the c = 1 core solver
 };
 
 class Isvd {
@@ -72,8 +78,9 @@ class Isvd {
   void initialize(const linalg::Mat& block);
 
   /// Folds `new_cols` (P x c) into the decomposition using the internal
-  /// workspace. One core SVD per P-column block; cost O(P r c + (r+c)^3),
-  /// independent of cols_seen().
+  /// workspace. One core SVD per P-column block: the dense Jacobi SVD,
+  /// O((r+c)^3) per sweep, for c > 1, and the O(r^2) broken-arrow solver
+  /// for c = 1. The outer rotations add O((P + cols_seen()) (r+c)^2).
   void update(const linalg::Mat& new_cols);
 
   /// Same update through a caller-owned workspace (shareable across Isvd

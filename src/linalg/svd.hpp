@@ -2,11 +2,13 @@
 //
 // Two algorithms cover the repository's needs:
 //   * svd(): one-sided Jacobi — high accuracy, O(max_dim * min_dim^2) per
-//     sweep. Its hottest caller is the square (r+c) x (r+c) core matrix of
-//     every incremental SVD update (57 x 57 for a saturated 56-sensor
-//     group), ahead of the tall-and-skinny mrDMD bins (a handful of columns
-//     after the 4x-Nyquist subsampling). Small dense problems like these are
-//     where Jacobi's simplicity and accuracy pay off.
+//     sweep. Its hottest callers are the tall-and-skinny mrDMD bins (a
+//     handful of columns after the 4x-Nyquist subsampling) and the square
+//     (r+c) x (r+c) core matrix of incremental SVD updates of c > 1
+//     columns. A one-column update's core is a broken arrow and takes the
+//     O(r^2) secular-equation solver of isvd/arrow_svd.hpp instead, with
+//     this Jacobi SVD as its test oracle. Small dense problems like these
+//     are where Jacobi's simplicity and accuracy pay off.
 //   * randomized_svd(): Halko-Martinsson-Tropp sketching for low-rank
 //     approximations of large matrices (used by PCA with n_components=2,
 //     mirroring scikit-learn's svd_solver='auto'->'randomized' choice).

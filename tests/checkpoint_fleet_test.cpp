@@ -70,12 +70,14 @@ std::vector<AssessmentSnapshot> run_collect(Assessor& engine,
   return sink.take();
 }
 
-/// One uninterrupted reference run over the shared 256+64+64 chunking.
+/// One uninterrupted reference run over the shared 256+64+64 chunking (or
+/// 256 + chunk + ...).
 std::vector<AssessmentSnapshot> reference_run(const Mat& data,
-                                              const AssessorConfig& config) {
+                                              const AssessorConfig& config,
+                                              std::size_t chunk = 64) {
   AssessorConfig local = config;
   Assessor engine(local);
-  MatChunkSource source(data, 256, 64);
+  MatChunkSource source(data, 256, chunk);
   return run_collect(engine, source);
 }
 
@@ -540,53 +542,63 @@ void remove_with_parts(const std::string& path) {
   }
 }
 
+// The chunk width is the second input: 64 snapshots fold 4 level-1 grid
+// columns per update, 16 snapshots one, so the delta restore replays the
+// broken-arrow core solver and must still resume bitwise.
 TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
   const Mat data = checkpoint_data();
-  for (const std::size_t stride : {std::size_t{0}, std::size_t{2}}) {
-    AssessorConfig config;
-    config.pipeline(checkpoint_pipeline_options())
-        .sharded(core::contiguous_groups(data.rows(), 5))
-        .sensors(data.rows())
-        .hierarchy(stride);
-    const auto reference = reference_run(data, config);
-    ASSERT_EQ(reference.size(), 3u);
+  for (const std::size_t chunk : {std::size_t{64}, std::size_t{16}}) {
+    for (const std::size_t stride : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk) + ", coarse stride " +
+                   std::to_string(stride));
+      AssessorConfig config;
+      config.pipeline(checkpoint_pipeline_options())
+          .sharded(core::contiguous_groups(data.rows(), 5))
+          .sensors(data.rows())
+          .hierarchy(stride);
+      const auto reference = reference_run(data, config, chunk);
+      const std::size_t chunks = 1 + (data.cols() - 256) / chunk;
+      ASSERT_EQ(reference.size(), chunks);
 
-    const std::string path = ::testing::TempDir() + "/delta_fleet.ckpt";
-    remove_with_parts(path);
-    AssessorConfig doomed = config;
-    doomed.checkpoint(delta_policy(1, path));
-    Assessor engine(doomed);
-    MatChunkSource source(data, 256, 64);
-    const auto before = run_collect(engine, source, 2);
-    ASSERT_EQ(before.size(), 2u);
+      const std::string path = ::testing::TempDir() + "/delta_fleet.ckpt";
+      remove_with_parts(path);
+      AssessorConfig doomed = config;
+      doomed.checkpoint(delta_policy(1, path));
+      Assessor engine(doomed);
+      MatChunkSource source(data, 256, chunk);
+      const auto before = run_collect(engine, source, 2);
+      ASSERT_EQ(before.size(), 2u);
 
-    // The main file is the engine container; the model bytes live in the
-    // writer's epoch-named part next to it.
-    EXPECT_EQ(read_file(path).substr(0, 8), "IMRDFL4\n");
-    EXPECT_TRUE(std::filesystem::exists(path + ".r0.e1"));
+      // The main file is the engine container; the model bytes live in the
+      // writer's epoch-named part next to it.
+      EXPECT_EQ(read_file(path).substr(0, 8), "IMRDFL4\n");
+      EXPECT_TRUE(std::filesystem::exists(path + ".r0.e1"));
 
-    // Resume with the journal armed: the continued run matches the
-    // uninterrupted reference bitwise and keeps delta-checkpointing.
-    AssessorResumeOptions resume;
-    resume.checkpoint = delta_policy(1, path);
-    core::RestoredAssessor restored =
-        core::load_assessor_checkpoint_file(path, resume);
-    EXPECT_EQ(restored.assessor.chunks_processed(), 2u);
-    EXPECT_EQ(restored.stream_position, 320u);
-    MatChunkSource rest(data, 256, 64);
-    rest.seek(static_cast<std::size_t>(restored.stream_position));
-    const auto after = run_collect(restored.assessor, rest);
-    ASSERT_EQ(after.size(), 1u);
-    expect_snapshot_equal(after[0], reference[2]);
+      // Resume with the journal armed: the continued run matches the
+      // uninterrupted reference bitwise and keeps delta-checkpointing.
+      AssessorResumeOptions resume;
+      resume.checkpoint = delta_policy(1, path);
+      core::RestoredAssessor restored =
+          core::load_assessor_checkpoint_file(path, resume);
+      EXPECT_EQ(restored.assessor.chunks_processed(), 2u);
+      EXPECT_EQ(restored.stream_position, 256u + chunk);
+      MatChunkSource rest(data, 256, chunk);
+      rest.seek(static_cast<std::size_t>(restored.stream_position));
+      const auto after = run_collect(restored.assessor, rest);
+      ASSERT_EQ(after.size(), chunks - 2);
+      for (std::size_t i = 0; i < after.size(); ++i) {
+        expect_snapshot_equal(after[i], reference[2 + i]);
+      }
 
-    // The resumed engine's base write took a FRESH epoch — the old main's
-    // part was never overwritten in place.
-    EXPECT_TRUE(std::filesystem::exists(path + ".r0.e2"));
-    core::RestoredAssessor again =
-        core::load_assessor_checkpoint_file(path);
-    EXPECT_EQ(again.assessor.chunks_processed(), 3u);
-    EXPECT_EQ(again.stream_position, 384u);
-    remove_with_parts(path);
+      // The resumed engine's base write took a FRESH epoch — the old main's
+      // part was never overwritten in place.
+      EXPECT_TRUE(std::filesystem::exists(path + ".r0.e2"));
+      core::RestoredAssessor again =
+          core::load_assessor_checkpoint_file(path);
+      EXPECT_EQ(again.assessor.chunks_processed(), chunks);
+      EXPECT_EQ(again.stream_position, data.cols());
+      remove_with_parts(path);
+    }
   }
 }
 

@@ -142,12 +142,32 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
     EXPECT_THROW(core::load_checkpoint(in), ParseError) << "dt " << dt;
   }
 
+  // A sign flip of one singular value: s must stay non-negative and
+  // non-increasing, which the one-column update's core solver relies on.
+  // The s words follow the grid and U: magic, 16 header words, the grid's
+  // and U's two shape words and values, then the rank word.
+  {
+    const std::size_t grid_values =
+        model.sensors() * (256 / model.level1_stride());
+    const std::size_t u_values = model.sensors() * model.level1_rank();
+    const std::size_t s_offset =
+        8 + 16 * 8 + (2 + grid_values) * 8 + (2 + u_values) * 8 + 8;
+    std::uint64_t rank_word = 0;
+    std::memcpy(&rank_word, bytes.data() + s_offset - 8, sizeof rank_word);
+    ASSERT_EQ(rank_word, model.level1_rank());
+    std::string corrupt = bytes;
+    corrupt[s_offset + 7] = static_cast<char>(corrupt[s_offset + 7] ^ 0x80);
+    std::stringstream in(corrupt);
+    EXPECT_THROW(core::load_checkpoint(in), ParseError);
+  }
+
   // Fuzz every u64-aligned word with an all-ones word and with the word
   // plus and minus one, on this section and on one that keeps its history:
   // each load must either throw ParseError or yield a model whose
-  // magnitudes and reconstruction evaluate, whose node windows lie inside
-  // its timeline, and which re-saves to as many bytes as it was read from
-  // (a shape corruption that still parses leaves bytes unread) — never
+  // magnitudes and reconstruction evaluate to finite values, whose node
+  // windows lie inside its timeline, which re-saves to as many bytes as it
+  // was read from (a shape corruption that still parses leaves bytes
+  // unread), and whose next one-column partial_fit succeeds — never
   // exhaust memory, crash, throw another error type, or load skewed state.
   core::ImrdmdOptions with_history = small_options();
   with_history.keep_history = true;
@@ -155,6 +175,9 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
   kept.initial_fit(data);
   std::stringstream kept_full;
   core::save_checkpoint(kept_full, kept);
+  const Mat next = planted_multiscale(6, 256 + model.level1_stride(), 0.02,
+                                      rng)
+                       .block(0, 256, 6, model.level1_stride());
   for (const std::string& section : {bytes, kept_full.str()}) {
     for (std::size_t offset = 8; offset + 8 <= section.size(); offset += 8) {
       std::uint64_t word = 0;
@@ -175,8 +198,14 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
           continue;
         }
         EXPECT_NO_THROW({
-          loaded->magnitudes();
-          loaded->reconstruct();
+          for (const double value : loaded->magnitudes()) {
+            EXPECT_TRUE(std::isfinite(value))
+                << "offset " << offset << " word " << garbage;
+          }
+          const Mat recon = loaded->reconstruct();
+          EXPECT_TRUE(std::all_of(recon.data(), recon.data() + recon.size(),
+                                  [](double v) { return std::isfinite(v); }))
+              << "offset " << offset << " word " << garbage;
         }) << "offset " << offset << " word " << garbage;
         for (const core::MrdmdNode& node : loaded->nodes()) {
           EXPECT_TRUE(node.t_begin < node.t_end &&
@@ -188,6 +217,13 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
         core::save_checkpoint(resaved, *loaded);
         EXPECT_EQ(resaved.str().size(), section.size())
             << "offset " << offset << " word " << garbage;
+        try {
+          loaded->partial_fit(next);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "offset " << offset << " word " << garbage
+                        << ": next one-column partial_fit threw: "
+                        << e.what();
+        }
       }
     }
   }

@@ -3,7 +3,9 @@
 // updates, and the error paths must raise typed imrdmd exceptions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "isvd/isvd.hpp"
@@ -78,35 +80,49 @@ TEST(IsvdWorkspace, InternalWorkspaceMatchesExternal) {
 }
 
 // One blocked update and the equivalent column-by-column stream describe
-// the same matrix; without rank truncation the reconstructions must agree
-// to tight tolerance (they are different round-off paths of the same
-// factorization).
+// the same matrix; the reconstructions must agree to tight tolerance (they
+// are different round-off paths of the same factorization: the blocked
+// update's core goes through the Jacobi SVD, a one-column update's through
+// the broken-arrow solver). The first shape keeps everything for exact
+// equivalence; in the second the rank reaches P, so the later columns lie
+// in span(U) and the default truncation drops their zero singular values.
 TEST(IsvdWorkspace, BlockedMatchesColumnByColumn) {
-  Rng rng(9);
-  const std::size_t p = 18;
-  const Mat initial = random_matrix(p, 5, rng);
-  const Mat stream = random_matrix(p, 12, rng);
+  struct Shape {
+    std::size_t p;
+    double truncation_tol;
+  };
+  for (const Shape shape : {Shape{18, 0.0}, Shape{8, 1e-12}}) {
+    SCOPED_TRACE("P = " + std::to_string(shape.p));
+    Rng rng(9);
+    const std::size_t p = shape.p;
+    const Mat initial = random_matrix(p, 5, rng);
+    const Mat stream = random_matrix(p, 12, rng);
 
-  IsvdOptions options;
-  options.truncation_tol = 0.0;  // keep everything: exact equivalence
+    IsvdOptions options;
+    options.truncation_tol = shape.truncation_tol;
 
-  Isvd blocked(options);
-  blocked.initialize(initial);
-  blocked.update(stream);
+    Isvd blocked(options);
+    blocked.initialize(initial);
+    blocked.update(stream);
 
-  Isvd percol(options);
-  percol.initialize(initial);
-  for (std::size_t j = 0; j < stream.cols(); ++j) {
-    percol.update(stream.block(0, j, p, 1));
+    Isvd percol(options);
+    percol.initialize(initial);
+    for (std::size_t j = 0; j < stream.cols(); ++j) {
+      percol.update(stream.block(0, j, p, 1));
+    }
+
+    ASSERT_EQ(blocked.cols_seen(), percol.cols_seen());
+    ASSERT_EQ(blocked.rank(), percol.rank());
+    EXPECT_EQ(blocked.rank(), std::min<std::size_t>(p, 17));
+    for (std::size_t i = 0; i < blocked.rank(); ++i) {
+      EXPECT_NEAR(blocked.s()[i], percol.s()[i], 1e-9 * blocked.s()[0]);
+    }
+    EXPECT_LT(max_abs_diff(blocked.reconstruct(), percol.reconstruct()),
+              1e-8);
+    EXPECT_LT(orthogonality_defect(blocked.u()), 1e-10);
+    EXPECT_LT(orthogonality_defect(percol.u()), 1e-10);
+    EXPECT_LT(orthogonality_defect(percol.v()), 1e-10);
   }
-
-  ASSERT_EQ(blocked.cols_seen(), percol.cols_seen());
-  ASSERT_EQ(blocked.rank(), percol.rank());
-  for (std::size_t i = 0; i < blocked.rank(); ++i) {
-    EXPECT_NEAR(blocked.s()[i], percol.s()[i], 1e-9 * blocked.s()[0]);
-  }
-  EXPECT_LT(max_abs_diff(blocked.reconstruct(), percol.reconstruct()), 1e-8);
-  EXPECT_LT(orthogonality_defect(blocked.u()), 1e-10);
 }
 
 // Inputs wider than the sensor dimension fold in as a loop of full-width

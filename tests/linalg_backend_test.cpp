@@ -186,7 +186,7 @@ TEST(LinalgBackendSvd, JacobiKernelsThrowOnNonFiniteInput) {
 // ---------------------------------------------------------------------------
 
 std::vector<core::AssessmentSnapshot> run_stream_under(
-    std::size_t stride, const std::string& backend_name) {
+    std::size_t stride, const std::string& backend_name, std::size_t chunk) {
   BackendGuard guard;
   linalg::set_active_backend(backend_name);
 
@@ -204,20 +204,25 @@ std::vector<core::AssessmentSnapshot> run_stream_under(
   core::Assessor assessor(
       core::AssessorConfig().pipeline(options).monolithic().hierarchy(stride));
 
-  core::MatrixChunkSource source(data, 128, 64);
+  core::MatrixChunkSource source(data, 128, chunk);
   core::CollectingSink sink;
   assessor.run(source, sink);
   return sink.take();
 }
 
-void avx2_keeps_assessment_decisions_in_band(std::size_t stride) {
+// The chunk width is the second input: 64 snapshots fold 8 level-1 grid
+// columns per update (the Jacobi core), 8 snapshots one (the broken-arrow
+// core solver, the shape of every perfbench workload).
+void avx2_keeps_assessment_decisions_in_band(std::size_t stride,
+                                             std::size_t chunk) {
+  SCOPED_TRACE("chunk " + std::to_string(chunk));
   if (linalg::find_backend("avx2") == nullptr) {
     GTEST_SKIP() << "avx2 backend not registered in this build";
   }
-  const auto ref_snapshots = run_stream_under(stride, "reference");
-  const auto avx_snapshots = run_stream_under(stride, "avx2");
+  const auto ref_snapshots = run_stream_under(stride, "reference", chunk);
+  const auto avx_snapshots = run_stream_under(stride, "avx2", chunk);
   ASSERT_EQ(ref_snapshots.size(), avx_snapshots.size());
-  ASSERT_FALSE(ref_snapshots.empty());
+  ASSERT_EQ(ref_snapshots.size(), 1 + (320 - 128) / chunk);
 
   for (std::size_t c = 0; c < ref_snapshots.size(); ++c) {
     const auto& ref = ref_snapshots[c];
@@ -237,7 +242,11 @@ void avx2_keeps_assessment_decisions_in_band(std::size_t stride) {
 }
 
 TEST(LinalgBackendEndToEnd, Avx2KeepsAssessmentDecisionsInBand) {
-  for_each_stride(avx2_keeps_assessment_decisions_in_band);
+  for (const std::size_t chunk : {std::size_t{64}, std::size_t{8}}) {
+    for_each_stride([chunk](std::size_t stride) {
+      avx2_keeps_assessment_decisions_in_band(stride, chunk);
+    });
+  }
 }
 
 }  // namespace
