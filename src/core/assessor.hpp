@@ -16,9 +16,9 @@
 //     queue), the carry/parking no-data-loss discipline, and the periodic
 //     checkpoint hook, for all three topologies;
 //   * results stream out through a push-based SnapshotSink observer instead
-//     of an accumulated std::vector, so an unbounded stream runs in bounded
-//     memory (ROADMAP north star: millions of users, backpressure-aware
-//     ingestion).
+//     of an accumulated std::vector, so the sinks hold bounded memory on an
+//     unbounded stream. The models do not: each gains about one mrDMD node
+//     per chunk, so model state and per-chunk cost grow with the stream.
 //
 // Model layer: a composable two-level ModelStack (core/model_stack.hpp) —
 // an optional coarse facility model over a subsampled sensor grid whose

@@ -109,6 +109,16 @@ double get_f64(BoundedReader& in) {
   return value;
 }
 
+/// A bool or two-valued enum option word: 0 or 1, anything else is corrupt.
+std::uint64_t get_bit(BoundedReader& in, const char* what) {
+  const std::uint64_t value = get_u64(in);
+  if (value > 1) {
+    throw ParseError(std::string("checkpoint option out of range (") + what +
+                     ")");
+  }
+  return value;
+}
+
 void put_mat(std::ostream& out, const linalg::Mat& m) {
   put_u64(out, m.rows());
   put_u64(out, m.cols());
@@ -687,17 +697,19 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   ImrdmdOptions options;
   options.mrdmd.max_levels = get_u64(in);
   options.mrdmd.max_cycles = get_u64(in);
-  options.mrdmd.use_svht = get_u64(in) != 0;
+  options.mrdmd.use_svht = get_bit(in, "use_svht") != 0;
   options.mrdmd.max_rank = get_u64(in);
   options.mrdmd.dt = get_f64(in);
-  options.mrdmd.criterion = static_cast<SlowModeCriterion>(get_u64(in));
-  options.mrdmd.parallel_bins = get_u64(in) != 0;
-  options.mrdmd.amplitude_fit = static_cast<dmd::AmplitudeFit>(get_u64(in));
+  options.mrdmd.criterion =
+      static_cast<SlowModeCriterion>(get_bit(in, "criterion"));
+  options.mrdmd.parallel_bins = get_bit(in, "parallel_bins") != 0;
+  options.mrdmd.amplitude_fit =
+      static_cast<dmd::AmplitudeFit>(get_bit(in, "amplitude_fit"));
   options.isvd.max_rank = get_u64(in);
   options.isvd.truncation_tol = get_f64(in);
   options.drift_threshold = get_f64(in);
-  options.recompute_on_drift = get_u64(in) != 0;
-  options.keep_history = get_u64(in) != 0;
+  options.recompute_on_drift = get_bit(in, "recompute_on_drift") != 0;
+  options.keep_history = get_bit(in, "keep_history") != 0;
   if (!(options.mrdmd.dt > 0.0) || !(options.isvd.truncation_tol >= 0.0)) {
     throw ParseError("checkpoint dt or truncation_tol out of range");
   }

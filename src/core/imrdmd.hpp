@@ -108,6 +108,9 @@ class IncrementalMrdmd {
   std::vector<dmd::SpectrumPoint> spectrum() const {
     return core::spectrum(nodes_, options_.mrdmd.dt);
   }
+  /// Per-sensor aggregate mode magnitude (input to z-scoring). const, but
+  /// fills each node's magnitude_terms on first read (mode_magnitudes), so
+  /// one thread at a time may use the model.
   std::vector<double> magnitudes(const dmd::ModeBand* band = nullptr) const;
 
   // --- Extensions beyond the paper (its Sec. VI future work) -------------

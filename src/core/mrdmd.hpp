@@ -140,7 +140,9 @@ class MrdmdTree {
     return core::spectrum(nodes_, options_.dt);
   }
 
-  /// Per-sensor aggregate mode magnitude (input to z-scoring).
+  /// Per-sensor aggregate mode magnitude (input to z-scoring). const, but
+  /// fills each node's magnitude_terms on first read (mode_magnitudes), so
+  /// one thread at a time may use the tree.
   std::vector<double> magnitudes(const dmd::ModeBand* band = nullptr) const;
 
  private:

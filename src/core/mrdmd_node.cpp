@@ -151,6 +151,36 @@ std::vector<dmd::SpectrumPoint> spectrum(const std::vector<MrdmdNode>& nodes,
   return points;
 }
 
+namespace {
+
+// Leading words of a magnitude_terms record: ||phi_i||^2, |Im ln lambda_i|
+// and |b_i|; the record's |phi_{p,i}| follow.
+constexpr std::size_t kModeTerms = 3;
+
+// The node's magnitude_terms, filled on first read with the expressions
+// power(), frequency_hz() and the original per-element loop use, so every
+// sum built from them is bitwise the one built from the node's fields.
+const double* filled_magnitude_terms(const MrdmdNode& node) {
+  const std::size_t p = node.modes.rows();
+  const std::size_t record = kModeTerms + p;
+  std::vector<double>& terms = node.magnitude_terms;
+  if (terms.size() != node.mode_count() * record) {
+    terms.resize(node.mode_count() * record);
+    for (std::size_t i = 0; i < node.mode_count(); ++i) {
+      double* out = terms.data() + i * record;
+      out[0] = node.power(i);
+      out[1] = std::abs(std::log(node.eigenvalues[i]).imag());
+      out[2] = std::abs(node.amplitudes[i]);
+      for (std::size_t r = 0; r < p; ++r) {
+        out[kModeTerms + r] = std::abs(node.modes(r, i));
+      }
+    }
+  }
+  return terms.data();
+}
+
+}  // namespace
+
 std::vector<double> mode_magnitudes(const std::vector<MrdmdNode>& nodes,
                                     std::size_t sensors, double dt,
                                     const dmd::ModeBand* band) {
@@ -158,14 +188,19 @@ std::vector<double> mode_magnitudes(const std::vector<MrdmdNode>& nodes,
   for (const MrdmdNode& node : nodes) {
     IMRDMD_REQUIRE_DIMS(node.modes.rows() == sensors || node.mode_count() == 0,
                         "mode_magnitudes sensor count mismatch");
+    if (node.mode_count() == 0) continue;
+    const double* terms = filled_magnitude_terms(node);
+    // frequency_hz(i, dt) = |Im ln lambda_i| / this.
+    const double hz_scale = kTwoPi * static_cast<double>(node.stride) * dt;
     for (std::size_t i = 0; i < node.mode_count(); ++i) {
-      if (band != nullptr &&
-          !band->contains(node.frequency_hz(i, dt), node.power(i))) {
+      const double* record = terms + i * (kModeTerms + sensors);
+      if (band != nullptr && !band->contains(record[1] / hz_scale, record[0])) {
         continue;
       }
-      const double weight = std::abs(node.amplitudes[i]);
+      const double weight = record[2];
+      const double* abs_phi = record + kModeTerms;
       for (std::size_t p = 0; p < sensors; ++p) {
-        magnitude[p] += weight * std::abs(node.modes(p, i));
+        magnitude[p] += weight * abs_phi[p];
       }
     }
   }

@@ -44,6 +44,15 @@ struct MrdmdNode {
   /// Mode amplitudes (length m).
   std::vector<Complex> amplitudes{};
 
+  /// Magnitude terms, derived from modes, eigenvalues and amplitudes and
+  /// never serialized: per mode i, one record of ||phi_i||^2,
+  /// |Im ln lambda_i|, |b_i|, then |phi_{p,i}| for every sensor p. Filled
+  /// by the first mode_magnitudes call that reads the node (so a restored
+  /// model pays on its first magnitudes(), not at load). A node's modes,
+  /// eigenvalues and amplitudes are not edited once it has been evaluated:
+  /// a refit replaces the node instead (level is not an input).
+  mutable std::vector<double> magnitude_terms{};
+
   std::size_t mode_count() const { return eigenvalues.size(); }
   std::size_t span() const { return t_end - t_begin; }
 
@@ -88,7 +97,11 @@ std::vector<dmd::SpectrumPoint> spectrum(const std::vector<MrdmdNode>& nodes,
 
 /// Per-sensor aggregate mode magnitude m_p = sum_i |b_i| |phi_{p,i}| over
 /// all nodes, band-filtered — the quantity the paper z-scores against a
-/// baseline population (Sec. III-A.2).
+/// baseline population (Sec. III-A.2). Reads each node's magnitude_terms,
+/// filling them on first read, so a call costs one multiply-add per mode
+/// element of every node; the result is bitwise that of evaluating |b_i|,
+/// |phi_{p,i}|, power(i) and frequency_hz(i, dt) afresh. The fill writes
+/// to const nodes: each model is read and updated by one thread at a time.
 std::vector<double> mode_magnitudes(const std::vector<MrdmdNode>& nodes,
                                     std::size_t sensors, double dt,
                                     const dmd::ModeBand* band = nullptr);

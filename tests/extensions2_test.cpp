@@ -19,6 +19,7 @@ namespace imrdmd {
 namespace {
 
 using core::Mat;
+using imrdmd::testing::expect_bitwise_equal;
 using imrdmd::testing::planted_multiscale;
 
 core::ImrdmdOptions small_options() {
@@ -53,9 +54,24 @@ TEST(Checkpoint, RestoredModelContinuesStreaming) {
   core::IncrementalMrdmd model(small_options());
   model.initial_fit(data.block(0, 0, 10, 512));
 
+  // The live model's magnitude terms are filled before the save; the
+  // loader leaves the restored model's unfilled, and its first read fills
+  // them. Both must give the same magnitudes, bitwise.
+  dmd::ModeBand band;
+  band.max_frequency_hz = 0.01;
+  model.magnitudes(&band);
+
   std::stringstream buffer;
   core::save_checkpoint(buffer, model);
   core::IncrementalMrdmd restored = core::load_checkpoint(buffer);
+  const auto expect_same_magnitudes = [&](const std::string& when) {
+    const dmd::ModeBand* const bands[] = {&band, nullptr};
+    for (const dmd::ModeBand* b : bands) {
+      expect_bitwise_equal(restored.magnitudes(b), model.magnitudes(b),
+                           "magnitudes " + when);
+    }
+  };
+  expect_same_magnitudes("after restore");
 
   // Both continue with the same chunk; results stay identical.
   const Mat chunk = data.block(0, 512, 10, 256);
@@ -67,6 +83,7 @@ TEST(Checkpoint, RestoredModelContinuesStreaming) {
   EXPECT_EQ(imrdmd::testing::max_abs_diff(model.reconstruct(),
                                           restored.reconstruct()),
             0.0);
+  expect_same_magnitudes("after partial_fit");
 }
 
 TEST(Checkpoint, FileRoundTripAndBadInputs) {
@@ -142,6 +159,19 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
     EXPECT_THROW(core::load_checkpoint(in), ParseError) << "dt " << dt;
   }
 
+  // Option words outside their domain. The slow-mode criterion (byte 48)
+  // and the amplitude fit (byte 64) are two-valued enums: any other word
+  // would load as one of the two.
+  for (const std::size_t offset : {48u, 64u}) {
+    for (const std::uint64_t garbage : {std::uint64_t{2}, ~std::uint64_t{0}}) {
+      std::string corrupt = bytes;
+      std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
+      std::stringstream in(corrupt);
+      EXPECT_THROW(core::load_checkpoint(in), ParseError)
+          << "offset " << offset << " word " << garbage;
+    }
+  }
+
   // A sign flip of one singular value: s must stay non-negative and
   // non-increasing, which the one-column update's core solver relies on.
   // The s words follow the grid and U: magic, 16 header words, the grid's
@@ -165,16 +195,27 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
   // plus and minus one, on this section and on one that keeps its history:
   // each load must either throw ParseError or yield a model whose
   // magnitudes and reconstruction evaluate to finite values, whose node
-  // windows lie inside its timeline, which re-saves to as many bytes as it
+  // windows lie inside its timeline, which re-saves to the very bytes it
   // was read from (a shape corruption that still parses leaves bytes
-  // unread), and whose next one-column partial_fit succeeds — never
-  // exhaust memory, crash, throw another error type, or load skewed state.
+  // unread, and a word that loads as another value does not round-trip),
+  // and whose next one-column partial_fit succeeds — never exhaust memory,
+  // crash, throw another error type, or load skewed state.
   core::ImrdmdOptions with_history = small_options();
   with_history.keep_history = true;
   core::IncrementalMrdmd kept(with_history);
   kept.initial_fit(data);
   std::stringstream kept_full;
   core::save_checkpoint(kept_full, kept);
+
+  // The bool words (use_svht, parallel_bins, recompute_on_drift,
+  // keep_history) are 0 or 1; a 2 would load as true and re-save as 1.
+  for (const std::size_t offset : {24u, 56u, 96u, 104u}) {
+    std::string corrupt = kept_full.str();
+    const std::uint64_t two = 2;
+    std::memcpy(corrupt.data() + offset, &two, sizeof two);
+    std::stringstream in(corrupt);
+    EXPECT_THROW(core::load_checkpoint(in), ParseError) << "offset " << offset;
+  }
   const Mat next = planted_multiscale(6, 256 + model.level1_stride(), 0.02,
                                       rng)
                        .block(0, 256, 6, model.level1_stride());
@@ -215,7 +256,7 @@ TEST(Checkpoint, CorruptSectionLengthsRejectedWithoutHugeAllocation) {
         }
         std::stringstream resaved;
         core::save_checkpoint(resaved, *loaded);
-        EXPECT_EQ(resaved.str().size(), section.size())
+        EXPECT_TRUE(resaved.str() == corrupt)
             << "offset " << offset << " word " << garbage;
         try {
           loaded->partial_fit(next);

@@ -12,6 +12,7 @@
 namespace imrdmd::core {
 namespace {
 
+using imrdmd::testing::expect_magnitudes_match_fresh;
 using imrdmd::testing::planted_multiscale;
 
 ImrdmdOptions default_options(std::size_t levels = 4) {
@@ -247,7 +248,14 @@ TEST(Imrdmd, SpectrumAndMagnitudesAvailable) {
   const Mat data = planted_multiscale(8, 512, 0.01, rng);
   IncrementalMrdmd inc(default_options(4));
   inc.initial_fit(data);
-  inc.partial_fit(planted_multiscale(8, 128, 0.01, rng));
+  expect_magnitudes_match_fresh(inc, 1.0, "initial fit");
+  // Each partial_fit brings a fresh root and new nodes, whose terms the
+  // next read fills next to the old nodes' filled ones.
+  const Mat more = planted_multiscale(8, 128, 0.01, rng);
+  for (std::size_t c = 0; c < 4; ++c) {
+    inc.partial_fit(more.block(0, 32 * c, 8, 32));
+    expect_magnitudes_match_fresh(inc, 1.0, "partial fit " + std::to_string(c));
+  }
   EXPECT_FALSE(inc.spectrum().empty());
   const auto magnitudes = inc.magnitudes();
   EXPECT_EQ(magnitudes.size(), 8u);

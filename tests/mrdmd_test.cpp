@@ -11,6 +11,7 @@
 namespace imrdmd::core {
 namespace {
 
+using imrdmd::testing::expect_magnitudes_match_fresh;
 using imrdmd::testing::planted_multiscale;
 
 MrdmdOptions small_options(std::size_t levels = 4) {
@@ -188,6 +189,7 @@ TEST(Mrdmd, BandFilteredMagnitudesExcludeFastModes) {
   for (std::size_t p = 0; p < slow_mag.size(); ++p) {
     EXPECT_LE(slow_mag[p], all_mag[p] + 1e-12);
   }
+  expect_magnitudes_match_fresh(tree, options.dt, "tree");
 }
 
 TEST(Mrdmd, ShortDataThrows) {

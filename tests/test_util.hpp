@@ -1,11 +1,13 @@
 // Shared helpers for the test suites.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -114,6 +116,64 @@ inline void expect_bitwise_equal(const std::vector<double>& a,
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     expect_bitwise_equal(a[i], b[i], what + "[" + std::to_string(i) + "]");
+  }
+}
+
+/// Per-sensor mode magnitude evaluated afresh from the nodes' fields
+/// (|b_i|, |phi_{p,i}|, frequency_hz, power): the oracle that
+/// core::mode_magnitudes' cached terms must reproduce bitwise.
+inline std::vector<double> fresh_mode_magnitudes(
+    const std::vector<core::MrdmdNode>& nodes, std::size_t sensors, double dt,
+    const dmd::ModeBand* band) {
+  std::vector<double> magnitude(sensors, 0.0);
+  for (const core::MrdmdNode& node : nodes) {
+    for (std::size_t i = 0; i < node.mode_count(); ++i) {
+      if (band != nullptr &&
+          !band->contains(node.frequency_hz(i, dt), node.power(i))) {
+        continue;
+      }
+      const double weight = std::abs(node.amplitudes[i]);
+      for (std::size_t p = 0; p < sensors; ++p) {
+        magnitude[p] += weight * std::abs(node.modes(p, i));
+      }
+    }
+  }
+  return magnitude;
+}
+
+/// Checks model.magnitudes(band) bitwise against fresh_mode_magnitudes on
+/// four bands: none, and a max-frequency, a min-power and a min-frequency
+/// cut at the medians of the model's spectrum. Each band is read twice:
+/// the first read fills the terms of nodes no call has read yet, the
+/// second reads them filled.
+template <typename Model>
+void expect_magnitudes_match_fresh(const Model& model, double dt,
+                                   const std::string& what) {
+  std::vector<double> hz, power;
+  for (const dmd::SpectrumPoint& point : model.spectrum()) {
+    hz.push_back(point.frequency_hz);
+    power.push_back(point.power);
+  }
+  ASSERT_FALSE(hz.empty()) << what;
+  std::sort(hz.begin(), hz.end());
+  std::sort(power.begin(), power.end());
+  dmd::ModeBand max_hz, min_power, min_hz;
+  max_hz.max_frequency_hz = hz[hz.size() / 2];
+  min_power.min_power = power[power.size() / 2];
+  min_hz.min_frequency_hz = hz[hz.size() / 2];
+  const std::pair<const dmd::ModeBand*, const char*> bands[] = {
+      {nullptr, "no band"},
+      {&max_hz, "max-frequency band"},
+      {&min_power, "min-power band"},
+      {&min_hz, "min-frequency band"},
+  };
+  for (const auto& [band, name] : bands) {
+    const std::vector<double> fresh =
+        fresh_mode_magnitudes(model.nodes(), model.sensors(), dt, band);
+    for (const char* read : {"first read", "second read"}) {
+      const std::string label = what + ", " + name + ", " + read;
+      expect_bitwise_equal(model.magnitudes(band), fresh, label);
+    }
   }
 }
 
