@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -8,10 +9,10 @@
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "common/atomic_file.hpp"
+#include "common/byte_codec.hpp"
 #include "common/error.hpp"
 #include "common/fnv.hpp"
 #include "common/thread_pool.hpp"
@@ -37,81 +38,9 @@ constexpr char kMagic[8] = {'I', 'M', 'R', 'D', 'M', 'D', '1', '\n'};
 constexpr char kEngineMagic[8] = {'I', 'M', 'R', 'D', 'F', 'L', '4', '\n'};
 constexpr char kPartMagic[8] = {'I', 'M', 'R', 'D', 'P', 'T', '3', '\n'};
 
-// --- primitive writers/readers (little-endian native; the format is not
-// exchanged across architectures) -------------------------------------
-
-void put_u64(std::ostream& out, std::uint64_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-void put_f64(std::ostream& out, double value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-// Reader that tracks how many bytes remain in the stream so every
-// length-prefixed section can be bounded *before* it drives an allocation or
-// a read past EOF: a truncated or corrupted header then yields the
-// documented ParseError instead of a huge allocation / bad_alloc.
-class BoundedReader {
- public:
-  static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
-
-  explicit BoundedReader(std::istream& in) : in_(in) {
-    const std::istream::pos_type pos = in_.tellg();
-    if (pos == std::istream::pos_type(-1)) return;  // non-seekable
-    in_.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in_.tellg();
-    in_.seekg(pos);
-    if (end != std::istream::pos_type(-1) && end >= pos) {
-      remaining_ = static_cast<std::uint64_t>(end - pos);
-    }
-  }
-
-  /// Bytes left in the stream (kUnknown when the stream is not seekable).
-  std::uint64_t remaining() const { return remaining_; }
-
-  /// Throws ParseError unless `bytes` more bytes are known to be available.
-  /// A non-seekable stream has no exact size, so sections there are held to
-  /// a hard ceiling instead — a corrupted header may still waste up to the
-  /// ceiling, but never a fantasy-sized allocation.
-  void require(std::uint64_t bytes, const char* what) const {
-    constexpr std::uint64_t kMaxUnknownSection = std::uint64_t{1} << 30;
-    const std::uint64_t limit =
-        remaining_ == kUnknown ? kMaxUnknownSection : remaining_;
-    if (bytes > limit) {
-      throw ParseError(std::string("checkpoint truncated (") + what + ")");
-    }
-  }
-
-  void read(char* dst, std::uint64_t bytes, const char* what) {
-    require(bytes, what);
-    in_.read(dst, static_cast<std::streamsize>(bytes));
-    if (!in_) {
-      throw ParseError(std::string("checkpoint truncated (") + what + ")");
-    }
-    if (remaining_ != kUnknown) remaining_ -= bytes;
-  }
-
- private:
-  std::istream& in_;
-  std::uint64_t remaining_ = kUnknown;
-};
-
-std::uint64_t get_u64(BoundedReader& in) {
-  std::uint64_t value = 0;
-  in.read(reinterpret_cast<char*>(&value), sizeof value, "u64");
-  return value;
-}
-
-double get_f64(BoundedReader& in) {
-  double value = 0;
-  in.read(reinterpret_cast<char*>(&value), sizeof value, "f64");
-  return value;
-}
-
 /// A bool or two-valued enum option word: 0 or 1, anything else is corrupt.
-std::uint64_t get_bit(BoundedReader& in, const char* what) {
-  const std::uint64_t value = get_u64(in);
+std::uint64_t get_bit(ByteReader& in, const char* what) {
+  const std::uint64_t value = in.u64();
   if (value > 1) {
     throw ParseError(std::string("checkpoint option out of range (") + what +
                      ")");
@@ -119,44 +48,15 @@ std::uint64_t get_bit(BoundedReader& in, const char* what) {
   return value;
 }
 
-void put_mat(std::ostream& out, const linalg::Mat& m) {
-  put_u64(out, m.rows());
-  put_u64(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(double)));
+void expect_magic(ByteReader& in, const char (&magic)[8], const char* error) {
+  char seen[sizeof magic];
+  in.raw(seen, sizeof seen, "magic");
+  if (std::memcmp(seen, magic, sizeof seen) != 0) throw ParseError(error);
 }
 
-linalg::Mat get_mat(BoundedReader& in) {
-  const std::uint64_t rows = get_u64(in);
-  const std::uint64_t cols = get_u64(in);
-  if (rows > (1u << 26) || cols > (1u << 26)) {
-    throw ParseError("checkpoint matrix shape implausible");
-  }
-  in.require(rows * cols * sizeof(double), "matrix");
-  linalg::Mat m(rows, cols);
-  in.read(reinterpret_cast<char*>(m.data()), m.size() * sizeof(double),
-          "matrix");
-  return m;
-}
-
-void put_cmat(std::ostream& out, const linalg::CMat& m) {
-  put_u64(out, m.rows());
-  put_u64(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(linalg::Complex)));
-}
-
-linalg::CMat get_cmat(BoundedReader& in) {
-  const std::uint64_t rows = get_u64(in);
-  const std::uint64_t cols = get_u64(in);
-  if (rows > (1u << 26) || cols > (1u << 26)) {
-    throw ParseError("checkpoint matrix shape implausible");
-  }
-  in.require(rows * cols * sizeof(linalg::Complex), "complex matrix");
-  linalg::CMat m(rows, cols);
-  in.read(reinterpret_cast<char*>(m.data()),
-          m.size() * sizeof(linalg::Complex), "complex matrix");
-  return m;
+void write_bytes(std::ostream& out, const std::vector<std::uint8_t>& bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 // Every value word of a model section must be finite: a NaN or infinity
@@ -179,98 +79,98 @@ void require_finite(const linalg::Complex* values, std::size_t count,
   require_finite(reinterpret_cast<const double*>(values), 2 * count, what);
 }
 
-void put_node(std::ostream& out, const MrdmdNode& node) {
-  put_u64(out, node.level);
-  put_u64(out, node.bin_index);
-  put_u64(out, node.t_begin);
-  put_u64(out, node.t_end);
-  put_u64(out, node.stride);
-  put_f64(out, node.rho);
-  put_u64(out, node.svd_rank);
-  put_cmat(out, node.modes);
-  put_u64(out, node.eigenvalues.size());
-  for (const auto& value : node.eigenvalues) {
-    put_f64(out, value.real());
-    put_f64(out, value.imag());
-  }
-  for (const auto& value : node.amplitudes) {
-    put_f64(out, value.real());
-    put_f64(out, value.imag());
-  }
+void put_node(ByteWriter& out, const MrdmdNode& node) {
+  out.u64(node.level);
+  out.u64(node.bin_index);
+  out.u64(node.t_begin);
+  out.u64(node.t_end);
+  out.u64(node.stride);
+  out.f64(node.rho);
+  out.u64(node.svd_rank);
+  out.matrix(node.modes);
+  out.u64(node.eigenvalues.size());
+  // std::complex<double> is laid out as its (re, im) pair.
+  out.raw(node.eigenvalues.data(),
+          node.eigenvalues.size() * sizeof(linalg::Complex));
+  out.raw(node.amplitudes.data(),
+          node.amplitudes.size() * sizeof(linalg::Complex));
 }
 
-MrdmdNode get_node(BoundedReader& in) {
+MrdmdNode get_node(ByteReader& in) {
   MrdmdNode node;
-  node.level = get_u64(in);
-  node.bin_index = get_u64(in);
-  node.t_begin = get_u64(in);
-  node.t_end = get_u64(in);
-  node.stride = get_u64(in);
-  node.rho = get_f64(in);
+  node.level = in.u64();
+  node.bin_index = in.u64();
+  node.t_begin = in.u64();
+  node.t_end = in.u64();
+  node.stride = in.u64();
+  node.rho = in.f64();
   require_finite(&node.rho, 1, "node rho");
-  node.svd_rank = get_u64(in);
-  node.modes = get_cmat(in);
+  node.svd_rank = in.u64();
+  node.modes = in.matrix<linalg::CMat>();
   require_finite(node.modes.data(), node.modes.size(), "node modes");
-  const std::uint64_t modes = get_u64(in);
-  // Each mode carries 4 doubles (eigenvalue + amplitude, re/im); bound the
-  // count before resize so a garbage prefix cannot drive the allocation.
-  if (modes > (1u << 26)) throw ParseError("checkpoint mode count implausible");
-  in.require(modes * 4 * sizeof(double), "node modes");
-  node.eigenvalues.resize(modes);
-  node.amplitudes.resize(modes);
-  // std::complex<double> is laid out as its (re, im) pair, as written.
-  in.read(reinterpret_cast<char*>(node.eigenvalues.data()),
-          modes * sizeof(linalg::Complex), "node eigenvalues");
-  in.read(reinterpret_cast<char*>(node.amplitudes.data()),
-          modes * sizeof(linalg::Complex), "node amplitudes");
+  const std::uint64_t modes = in.u64();
+  node.eigenvalues = in.array<linalg::Complex>(modes, "node eigenvalues");
+  node.amplitudes = in.array<linalg::Complex>(modes, "node amplitudes");
   require_finite(node.eigenvalues.data(), modes, "node eigenvalues");
   require_finite(node.amplitudes.data(), modes, "node amplitudes");
   return node;
 }
 
+/// `count` index words, each below `bound`.
+std::vector<std::size_t> get_indices(ByteReader& in, std::uint64_t count,
+                                     std::uint64_t bound, const char* what) {
+  const std::vector<std::uint64_t> words = in.array<std::uint64_t>(count, what);
+  if (std::any_of(words.begin(), words.end(),
+                  [bound](std::uint64_t index) { return index >= bound; })) {
+    throw ParseError(std::string("checkpoint ") + what + " out of range");
+  }
+  return {words.begin(), words.end()};
+}
+
 // --- stage options / stage state (shared by pipeline + fleet headers) ---
 
-void put_stage_options(std::ostream& out, const PipelineOptions& options) {
-  put_f64(out, options.band.min_frequency_hz);
-  put_f64(out, options.band.max_frequency_hz);
-  put_f64(out, options.band.min_power);
-  put_f64(out, options.baseline.value_min);
-  put_f64(out, options.baseline.value_max);
-  put_f64(out, options.zscore.near_band);
-  put_f64(out, options.zscore.hot_threshold);
-  put_u64(out, options.reselect_baseline_per_chunk ? 1 : 0);
+/// The stage's double-valued options, in container order.
+template <class Options>
+auto stage_doubles(Options& o) {
+  return std::array{&o.band.min_frequency_hz, &o.band.max_frequency_hz,
+                    &o.band.min_power,        &o.baseline.value_min,
+                    &o.baseline.value_max,    &o.zscore.near_band,
+                    &o.zscore.hot_threshold};
 }
 
-void get_stage_options(BoundedReader& in, PipelineOptions& options) {
-  options.band.min_frequency_hz = get_f64(in);
-  options.band.max_frequency_hz = get_f64(in);
-  options.band.min_power = get_f64(in);
-  options.baseline.value_min = get_f64(in);
-  options.baseline.value_max = get_f64(in);
-  options.zscore.near_band = get_f64(in);
-  options.zscore.hot_threshold = get_f64(in);
-  options.reselect_baseline_per_chunk = get_u64(in) != 0;
+void put_stage_options(ByteWriter& out, const PipelineOptions& options) {
+  for (const double* value : stage_doubles(options)) out.f64(*value);
+  out.u64(options.reselect_baseline_per_chunk ? 1 : 0);
 }
 
-void put_stage_state(std::ostream& out,
+void get_stage_options(ByteReader& in, PipelineOptions& options) {
+  // +inf is a meaningful bound (the band's default upper edge), NaN is
+  // not: a NaN hot_threshold would score every Elevated sensor Hot. An
+  // unordered baseline range would fail the first resumed chunk instead.
+  for (double* value : stage_doubles(options)) {
+    *value = in.f64();
+    if (std::isnan(*value)) throw ParseError("checkpoint stage option NaN");
+  }
+  if (!(options.baseline.value_min <= options.baseline.value_max)) {
+    throw ParseError("checkpoint baseline range out of order");
+  }
+  options.reselect_baseline_per_chunk =
+      get_bit(in, "reselect_baseline_per_chunk") != 0;
+}
+
+void put_stage_state(ByteWriter& out,
                      const BaselineZscoreStage::State& state) {
-  put_u64(out, state.selected_once ? 1 : 0);
-  put_u64(out, state.baseline_sensors.size());
-  for (std::size_t sensor : state.baseline_sensors) put_u64(out, sensor);
+  out.u64(state.selected_once ? 1 : 0);
+  out.u64(state.baseline_sensors.size());
+  for (std::size_t sensor : state.baseline_sensors) out.u64(sensor);
 }
 
-BaselineZscoreStage::State get_stage_state(BoundedReader& in) {
+BaselineZscoreStage::State get_stage_state(ByteReader& in) {
   BaselineZscoreStage::State state;
-  state.selected_once = get_u64(in) != 0;
-  const std::uint64_t count = get_u64(in);
-  if (count > (1u << 26)) {
-    throw ParseError("checkpoint baseline population implausible");
-  }
-  in.require(count * sizeof(std::uint64_t), "baseline population");
-  state.baseline_sensors.resize(count);
-  for (auto& sensor : state.baseline_sensors) {
-    sensor = static_cast<std::size_t>(get_u64(in));
-  }
+  state.selected_once = get_bit(in, "selected_once") != 0;
+  const std::vector<std::uint64_t> sensors =
+      in.array<std::uint64_t>(in.u64(), "baseline population");
+  state.baseline_sensors.assign(sensors.begin(), sensors.end());
   return state;
 }
 
@@ -320,10 +220,10 @@ std::string part_path(const std::string& path, std::size_t writer,
 /// (Assessor / ModelStack / DeltaJournal). Defined only in this translation
 /// unit.
 struct CheckpointAccess {
-  static void put_model(std::ostream& out, const IncrementalMrdmd& model);
-  static IncrementalMrdmd get_model(BoundedReader& in);
+  static void put_model(ByteWriter& out, const IncrementalMrdmd& model);
+  static IncrementalMrdmd get_model(ByteReader& in);
   /// Magic, stage header, partition and hierarchy map, then `writers`.
-  static void put_preamble(std::ostream& out, const Assessor& assessor,
+  static void put_preamble(ByteWriter& out, const Assessor& assessor,
                            std::uint64_t writers);
   /// The full save. Collective in the distributed topology, where `out` is
   /// non-null on rank 0 only.
@@ -336,7 +236,7 @@ struct CheckpointAccess {
   static void save_file(const std::string& path, Assessor& assessor);
   /// Loads either storage. `path` names the main file whose parts a delta
   /// save references (nullptr for a stream, which cannot reach them).
-  static RestoredAssessor load(BoundedReader& in, const std::string* path,
+  static RestoredAssessor load(ByteReader& in, const std::string* path,
                                dist::Communicator* comm,
                                const AssessorResumeOptions& resume);
   /// Builds an engine of any topology from a parsed container.
@@ -368,14 +268,14 @@ void check_stage_state(const ParsedCheckpoint& parsed) {
 }
 
 /// Reads one length-prefixed model image, bounding the declared length
-/// against the remaining stream before parsing and verifying afterwards
+/// against the remaining input before parsing and verifying afterwards
 /// that the parse consumed exactly the declared bytes.
-IncrementalMrdmd get_model_section(BoundedReader& in, const char* what) {
-  const std::uint64_t length = get_u64(in);
-  in.require(length, what);
+IncrementalMrdmd get_model_section(ByteReader& in, const char* what) {
+  const std::uint64_t length = in.u64();
+  in.require(length, 1, what);
   const std::uint64_t before = in.remaining();
   IncrementalMrdmd model = CheckpointAccess::get_model(in);
-  if (before != BoundedReader::kUnknown && before - in.remaining() != length) {
+  if (before != ByteReader::kUnknown && before - in.remaining() != length) {
     throw ParseError(std::string("checkpoint section length mismatch (") +
                      what + ")");
   }
@@ -385,32 +285,29 @@ IncrementalMrdmd get_model_section(BoundedReader& in, const char* what) {
 // --- the section list: count, the coarse section first, then groups in
 // global order. The full save writes one inline; each part starts with one.
 
-std::string model_image(const IncrementalMrdmd& model) {
-  std::ostringstream buffer;
-  CheckpointAccess::put_model(buffer, model);
-  return std::move(buffer).str();
-}
-
-void put_section(std::ostream& out, const std::string& image) {
-  put_u64(out, image.size());
-  out.write(image.data(), static_cast<std::streamsize>(image.size()));
+/// Appends `model`'s image, prefixed by its byte length.
+void put_section(ByteWriter& out, const IncrementalMrdmd& model) {
+  const std::size_t at = out.size();
+  out.u64(0);
+  CheckpointAccess::put_model(out, model);
+  out.patch_u64(at, out.size() - at - sizeof(std::uint64_t));
 }
 
 /// The section count, then the coarse section when `coarse` is non-null;
 /// the caller writes the `groups` group sections after it.
-void put_list_head(std::ostream& out, std::size_t groups,
+void put_list_head(ByteWriter& out, std::size_t groups,
                    const IncrementalMrdmd* coarse) {
-  put_u64(out, groups + (coarse != nullptr ? 1 : 0));
-  if (coarse != nullptr) put_section(out, model_image(*coarse));
+  out.u64(groups + (coarse != nullptr ? 1 : 0));
+  if (coarse != nullptr) put_section(out, *coarse);
 }
 
 /// Reads a section list holding the coarse model when `coarse`, then the
 /// models of groups [first, last). Each must match its rows and sit at
 /// stream position `position`.
-void get_section_list(BoundedReader& in, ParsedCheckpoint& parsed,
+void get_section_list(ByteReader& in, ParsedCheckpoint& parsed,
                       std::size_t first, std::size_t last, bool coarse,
                       std::uint64_t position) {
-  if (get_u64(in) != (last - first) + (coarse ? 1 : 0)) {
+  if (in.u64() != (last - first) + (coarse ? 1 : 0)) {
     throw ParseError("checkpoint section count mismatch");
   }
   const auto check = [position](const IncrementalMrdmd& model,
@@ -436,104 +333,92 @@ void get_section_list(BoundedReader& in, ParsedCheckpoint& parsed,
 }
 
 /// Parses the container magic, the preamble and the writer count.
-ParsedCheckpoint parse_preamble(BoundedReader& in) {
-  char magic[sizeof kEngineMagic];
-  in.read(magic, sizeof magic, "magic");
-  if (std::memcmp(magic, kEngineMagic, sizeof magic) != 0) {
-    throw ParseError("not an imrdmd engine checkpoint (bad magic)");
-  }
+ParsedCheckpoint parse_preamble(ByteReader& in) {
+  expect_magic(in, kEngineMagic, "not an imrdmd engine checkpoint (bad magic)");
   ParsedCheckpoint parsed;
   get_stage_options(in, parsed.stage_options);
-  parsed.chunks_processed = get_u64(in);
-  parsed.stream_position = get_u64(in);
+  parsed.chunks_processed = in.u64();
+  parsed.stream_position = in.u64();
   parsed.stage_state = get_stage_state(in);
   if (parsed.chunks_processed == 0) {
     throw ParseError("checkpoint has no processed chunks");
   }
 
-  parsed.sensors = get_u64(in);
+  parsed.sensors = in.u64();
   if (parsed.sensors == 0 || parsed.sensors > (std::uint64_t{1} << 32)) {
     throw ParseError("checkpoint sensor count implausible");
   }
-  const std::uint64_t group_count = get_u64(in);
+  const std::uint64_t group_count = in.u64();
   if (group_count == 0 || group_count > parsed.sensors) {
     throw ParseError("checkpoint group count implausible");
   }
   // Every group carries at least its size word; a partition of `sensors`
   // carries exactly `sensors` index words in total. Bound both before any
   // group drives an allocation.
-  in.require((group_count + parsed.sensors) * sizeof(std::uint64_t),
-             "groups");
+  in.require(group_count + parsed.sensors, sizeof(std::uint64_t), "groups");
   parsed.groups.resize(group_count);
   for (auto& group : parsed.groups) {
-    const std::uint64_t size = get_u64(in);
+    const std::uint64_t size = in.u64();
     if (size > parsed.sensors) {
       throw ParseError("checkpoint group size implausible");
     }
-    in.require(size * sizeof(std::uint64_t), "group");
-    group.resize(size);
-    for (auto& sensor : group) {
-      sensor = static_cast<std::size_t>(get_u64(in));
-      if (sensor >= parsed.sensors) {
-        throw ParseError("checkpoint group sensor index out of range");
-      }
-    }
+    group = get_indices(in, size, parsed.sensors, "group sensor index");
   }
 
-  parsed.coarse_stride = get_u64(in);
+  parsed.coarse_stride = in.u64();
   if (parsed.coarse_stride > (std::uint64_t{1} << 32)) {
     throw ParseError("checkpoint coarse stride implausible");
   }
   if (parsed.coarse_stride > 0) {
-    const std::uint64_t grid_count = get_u64(in);
+    const std::uint64_t grid_count = in.u64();
     if (grid_count == 0 || grid_count > parsed.sensors) {
       throw ParseError("checkpoint coarse grid implausible");
     }
-    in.require(grid_count * sizeof(std::uint64_t), "coarse grid");
-    parsed.coarse_grid_rows.resize(grid_count);
-    for (auto& row : parsed.coarse_grid_rows) {
-      row = static_cast<std::size_t>(get_u64(in));
-      if (row >= parsed.sensors) {
-        throw ParseError("checkpoint coarse grid row out of range");
-      }
-    }
-    const std::uint64_t interp_count = get_u64(in);
+    parsed.coarse_grid_rows =
+        get_indices(in, grid_count, parsed.sensors, "coarse grid row");
+    const std::uint64_t interp_count = in.u64();
     if (interp_count != parsed.sensors) {
       throw ParseError("checkpoint interpolation map count mismatch");
     }
-    in.require(interp_count * (2 * sizeof(std::uint64_t) + sizeof(double)),
+    in.require(interp_count, 2 * sizeof(std::uint64_t) + sizeof(double),
                "interpolation map");
     parsed.interp.resize(interp_count);
     for (ModelStack::Interp& ip : parsed.interp) {
-      ip.lo = static_cast<std::size_t>(get_u64(in));
-      ip.hi = static_cast<std::size_t>(get_u64(in));
-      ip.w = get_f64(in);
+      ip.lo = static_cast<std::size_t>(in.u64());
+      ip.hi = static_cast<std::size_t>(in.u64());
+      ip.w = in.f64();
       if (ip.lo >= grid_count || ip.hi >= grid_count) {
         throw ParseError("checkpoint interpolation row out of range");
+      }
+      // ModelStack::interp_at writes an exact row (hi == lo) or a pair of
+      // neighbouring grid rows with w in [0, 1); anything else would
+      // extrapolate, or poison the residual with NaN.
+      if ((ip.hi != ip.lo && ip.hi != ip.lo + 1) ||
+          !(ip.w >= 0.0 && ip.w < 1.0)) {
+        throw ParseError("checkpoint interpolation entry out of range");
       }
     }
   }
 
-  parsed.writers = get_u64(in);
+  parsed.writers = in.u64();
   if (parsed.writers > (std::uint64_t{1} << 20)) {
     throw ParseError("checkpoint writer count implausible");
   }
   return parsed;
 }
 
-Manifest get_manifest(BoundedReader& in, const ParsedCheckpoint& parsed) {
-  in.require((parsed.writers * 2 + 3) * sizeof(std::uint64_t),
-             "delta manifest");
+Manifest get_manifest(ByteReader& in, const ParsedCheckpoint& parsed) {
+  in.require(parsed.writers * 2 + 3, sizeof(std::uint64_t), "delta manifest");
   Manifest manifest;
-  manifest.epoch = get_u64(in);
+  manifest.epoch = in.u64();
   manifest.part_bytes.resize(parsed.writers);
   manifest.part_digest.resize(parsed.writers);
   for (std::uint64_t w = 0; w < parsed.writers; ++w) {
-    manifest.part_bytes[w] = get_u64(in);
-    manifest.part_digest[w] = get_u64(in);
+    manifest.part_bytes[w] = in.u64();
+    manifest.part_digest[w] = in.u64();
   }
-  manifest.base_chunks = get_u64(in);
-  manifest.base_position = get_u64(in);
+  manifest.base_chunks = in.u64();
+  manifest.base_position = in.u64();
   if (manifest.base_chunks == 0 ||
       manifest.base_chunks > parsed.chunks_processed ||
       manifest.base_position > parsed.stream_position) {
@@ -549,7 +434,7 @@ std::pair<std::size_t, std::size_t> existing_epoch(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return {0, 0};
   try {
-    BoundedReader in(file);
+    ByteReader in(file);
     const ParsedCheckpoint parsed = parse_preamble(in);
     if (parsed.writers == 0) return {0, 0};
     return {static_cast<std::size_t>(get_manifest(in, parsed).epoch),
@@ -577,33 +462,20 @@ std::vector<std::vector<linalg::Mat>> read_parts(const std::string& path,
       rows += parsed.groups[g].size();
     }
     const std::string name = part_path(path, w, manifest.epoch);
-    std::ifstream file(name, std::ios::binary | std::ios::ate);
+    std::ifstream file(name, std::ios::binary);
     if (!file) throw ParseError("delta checkpoint part missing: " + name);
-    // Size check BEFORE the allocation: a corrupted manifest length must
-    // fail as a truncated part, not as a giant buffer.
-    const auto actual = file.tellg();
-    if (actual < 0 ||
-        static_cast<std::uint64_t>(actual) < manifest.part_bytes[w]) {
-      throw ParseError("delta checkpoint part truncated: " + name);
-    }
-    file.seekg(0);
-    std::string data(static_cast<std::size_t>(manifest.part_bytes[w]), '\0');
-    file.read(data.data(), static_cast<std::streamsize>(data.size()));
-    if (static_cast<std::uint64_t>(file.gcount()) != manifest.part_bytes[w]) {
-      throw ParseError("delta checkpoint part truncated: " + name);
-    }
+    // Bounded by the file's size before the allocation: a corrupted
+    // manifest length fails as a truncated part, not as a giant buffer.
+    ByteReader part_file(file);
+    const std::vector<std::uint8_t> data =
+        part_file.array<std::uint8_t>(manifest.part_bytes[w], name.c_str());
     // A longer file is fine (a torn append past the manifest's bytes); a
     // digest mismatch inside them is not.
     if (fnv1a64(data.data(), data.size()) != manifest.part_digest[w]) {
       throw ParseError("delta checkpoint part digest mismatch: " + name);
     }
-    std::istringstream stream(std::move(data));
-    BoundedReader part(stream);
-    char magic[sizeof kPartMagic];
-    part.read(magic, sizeof magic, "part magic");
-    if (std::memcmp(magic, kPartMagic, sizeof magic) != 0) {
-      throw ParseError("not an imrdmd delta part (bad magic)");
-    }
+    ByteReader part(data);
+    expect_magic(part, kPartMagic, "not an imrdmd delta part (bad magic)");
     get_section_list(part, parsed, range.first, range.second,
                      w == 0 && parsed.coarse_stride > 0,
                      manifest.base_position);
@@ -613,7 +485,7 @@ std::vector<std::vector<linalg::Mat>> read_parts(const std::string& path,
     records[w].reserve(std::min<std::size_t>(
         record_count, part.remaining() / (2 * sizeof(std::uint64_t)) + 1));
     for (std::size_t i = 0; i < record_count; ++i) {
-      linalg::Mat record = get_mat(part);
+      linalg::Mat record = part.matrix<linalg::Mat>();
       if (record.rows() != rows || record.cols() == 0) {
         throw ParseError("delta checkpoint record shape mismatch");
       }
@@ -646,68 +518,64 @@ std::vector<std::vector<linalg::Mat>> read_parts(const std::string& path,
 
 }  // namespace
 
-void CheckpointAccess::put_model(std::ostream& out,
+void CheckpointAccess::put_model(ByteWriter& out,
                                  const IncrementalMrdmd& model) {
   IMRDMD_REQUIRE_ARG(model.fitted(), "cannot checkpoint an unfitted model");
-  out.write(kMagic, sizeof kMagic);
+  out.raw(kMagic, sizeof kMagic);
 
   // Options.
   const ImrdmdOptions& options = model.options_;
-  put_u64(out, options.mrdmd.max_levels);
-  put_u64(out, options.mrdmd.max_cycles);
-  put_u64(out, options.mrdmd.use_svht ? 1 : 0);
-  put_u64(out, options.mrdmd.max_rank);
-  put_f64(out, options.mrdmd.dt);
-  put_u64(out, static_cast<std::uint64_t>(options.mrdmd.criterion));
-  put_u64(out, options.mrdmd.parallel_bins ? 1 : 0);
-  put_u64(out, static_cast<std::uint64_t>(options.mrdmd.amplitude_fit));
-  put_u64(out, options.isvd.max_rank);
-  put_f64(out, options.isvd.truncation_tol);
-  put_f64(out, options.drift_threshold);
-  put_u64(out, options.recompute_on_drift ? 1 : 0);
-  put_u64(out, options.keep_history ? 1 : 0);
+  out.u64(options.mrdmd.max_levels);
+  out.u64(options.mrdmd.max_cycles);
+  out.u64(options.mrdmd.use_svht ? 1 : 0);
+  out.u64(options.mrdmd.max_rank);
+  out.f64(options.mrdmd.dt);
+  out.u64(static_cast<std::uint64_t>(options.mrdmd.criterion));
+  out.u64(options.mrdmd.parallel_bins ? 1 : 0);
+  out.u64(static_cast<std::uint64_t>(options.mrdmd.amplitude_fit));
+  out.u64(options.isvd.max_rank);
+  out.f64(options.isvd.truncation_tol);
+  out.f64(options.drift_threshold);
+  out.u64(options.recompute_on_drift ? 1 : 0);
+  out.u64(options.keep_history ? 1 : 0);
 
   // Scalars.
-  put_u64(out, model.sensors_);
-  put_u64(out, model.time_steps_);
-  put_u64(out, model.stride1_);
+  out.u64(model.sensors_);
+  out.u64(model.time_steps_);
+  out.u64(model.stride1_);
 
   // Level-1 state.
-  put_mat(out, model.grid_);
-  put_mat(out, model.isvd_.u());
-  put_u64(out, model.isvd_.s().size());
-  for (double s : model.isvd_.s()) put_f64(out, s);
-  put_mat(out, model.isvd_.v());
-  put_u64(out, model.isvd_.cols_seen());
+  out.matrix(model.grid_);
+  out.matrix(model.isvd_.u());
+  out.u64(model.isvd_.s().size());
+  out.raw(model.isvd_.s().data(), model.isvd_.s().size() * sizeof(double));
+  out.matrix(model.isvd_.v());
+  out.u64(model.isvd_.cols_seen());
 
   // Tree + caches.
-  put_u64(out, model.nodes_.size());
+  out.u64(model.nodes_.size());
   for (const MrdmdNode& node : model.nodes_) put_node(out, node);
-  put_mat(out, model.cached_grid_recon_);
-  put_mat(out, model.history_);
+  out.matrix(model.cached_grid_recon_);
+  out.matrix(model.history_);
 }
 
-IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
-  char magic[sizeof kMagic];
-  in.read(magic, sizeof magic, "magic");
-  if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw ParseError("not an imrdmd checkpoint (bad magic)");
-  }
+IncrementalMrdmd CheckpointAccess::get_model(ByteReader& in) {
+  expect_magic(in, kMagic, "not an imrdmd checkpoint (bad magic)");
 
   ImrdmdOptions options;
-  options.mrdmd.max_levels = get_u64(in);
-  options.mrdmd.max_cycles = get_u64(in);
+  options.mrdmd.max_levels = in.u64();
+  options.mrdmd.max_cycles = in.u64();
   options.mrdmd.use_svht = get_bit(in, "use_svht") != 0;
-  options.mrdmd.max_rank = get_u64(in);
-  options.mrdmd.dt = get_f64(in);
+  options.mrdmd.max_rank = in.u64();
+  options.mrdmd.dt = in.f64();
   options.mrdmd.criterion =
       static_cast<SlowModeCriterion>(get_bit(in, "criterion"));
   options.mrdmd.parallel_bins = get_bit(in, "parallel_bins") != 0;
   options.mrdmd.amplitude_fit =
       static_cast<dmd::AmplitudeFit>(get_bit(in, "amplitude_fit"));
-  options.isvd.max_rank = get_u64(in);
-  options.isvd.truncation_tol = get_f64(in);
-  options.drift_threshold = get_f64(in);
+  options.isvd.max_rank = in.u64();
+  options.isvd.truncation_tol = in.f64();
+  options.drift_threshold = in.f64();
   options.recompute_on_drift = get_bit(in, "recompute_on_drift") != 0;
   options.keep_history = get_bit(in, "keep_history") != 0;
   if (!(options.mrdmd.dt > 0.0) || !(options.isvd.truncation_tol >= 0.0)) {
@@ -715,27 +583,24 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   }
 
   IncrementalMrdmd model(options);
-  model.sensors_ = get_u64(in);
-  model.time_steps_ = get_u64(in);
-  model.stride1_ = get_u64(in);
+  model.sensors_ = in.u64();
+  model.time_steps_ = in.u64();
+  model.stride1_ = in.u64();
 
-  model.grid_ = get_mat(in);
+  model.grid_ = in.matrix<linalg::Mat>();
   require_finite(model.grid_, "level-1 grid");
-  linalg::Mat u = get_mat(in);
+  linalg::Mat u = in.matrix<linalg::Mat>();
   require_finite(u, "level-1 U");
-  const std::uint64_t rank = get_u64(in);
-  if (rank > (1u << 26)) throw ParseError("checkpoint rank implausible");
-  in.require(rank * sizeof(double), "singular values");
-  std::vector<double> s(rank);
-  for (auto& value : s) value = get_f64(in);
+  const std::uint64_t rank = in.u64();
+  std::vector<double> s = in.array<double>(rank, "singular values");
   require_finite(s.data(), s.size(), "singular values");
   // The next one-column update's core solver needs s >= 0, non-increasing.
   if (!std::is_sorted(s.rbegin(), s.rend()) || (!s.empty() && s.back() < 0.0)) {
     throw ParseError("checkpoint singular values negative or unsorted");
   }
-  linalg::Mat v = get_mat(in);
+  linalg::Mat v = in.matrix<linalg::Mat>();
   require_finite(v, "level-1 V");
-  const std::uint64_t cols_seen = get_u64(in);
+  const std::uint64_t cols_seen = in.u64();
   // Shape coherence is checked before assembly, so a corrupt section fails
   // here with ParseError rather than later with another error type.
   const std::size_t sensors = model.sensors_;
@@ -751,14 +616,11 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   model.isvd_ = isvd::Isvd::from_state(options.isvd, std::move(u),
                                        std::move(s), std::move(v), cols_seen);
 
-  const std::uint64_t node_count = get_u64(in);
+  const std::uint64_t node_count = in.u64();
   if (node_count == 0) throw ParseError("checkpoint has no tree nodes");
   // A node serializes to at least its 7 fixed words; bound the count before
   // reserving so a corrupted header cannot drive a huge allocation.
-  if (node_count > (1u << 26)) {
-    throw ParseError("checkpoint node count implausible");
-  }
-  in.require(node_count * 7 * sizeof(std::uint64_t), "tree nodes");
+  in.require(node_count, 7 * sizeof(std::uint64_t), "tree nodes");
   // Cap the up-front reservation: the stream-byte bound above says nothing
   // about in-memory node size, so a garbage count within it could still
   // reserve GiBs. Growth past the cap amortizes normally.
@@ -766,9 +628,9 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   for (std::uint64_t i = 0; i < node_count; ++i) {
     model.nodes_.push_back(get_node(in));
   }
-  model.cached_grid_recon_ = get_mat(in);
+  model.cached_grid_recon_ = in.matrix<linalg::Mat>();
   require_finite(model.cached_grid_recon_, "cached reconstruction");
-  model.history_ = get_mat(in);
+  model.history_ = in.matrix<linalg::Mat>();
   require_finite(model.history_, "history");
   model.fitted_ = true;
 
@@ -799,52 +661,49 @@ namespace {
 /// Packs one rank's length-prefixed model sections into the doubles the
 /// communicator speaks: [byte count, then the bytes, zero-padded to whole
 /// words]. The count rides as an exact integer (far below 2^53).
-std::vector<double> pack_sections(const std::vector<std::string>& sections) {
+std::vector<double> pack_sections(
+    const std::vector<std::vector<std::uint8_t>>& sections) {
   std::size_t bytes = 0;
-  for (const std::string& s : sections) {
-    bytes += sizeof(std::uint64_t) + s.size();
-  }
+  for (const auto& section : sections) bytes += section.size();
   std::vector<double> blob(1 + (bytes + 7) / 8, 0.0);
   blob[0] = static_cast<double>(bytes);
   char* cursor = reinterpret_cast<char*>(blob.data() + 1);
-  for (const std::string& s : sections) {
-    const std::uint64_t length = s.size();
-    std::memcpy(cursor, &length, sizeof length);
-    std::memcpy(cursor + sizeof length, s.data(), s.size());
-    cursor += sizeof length + s.size();
+  for (const auto& section : sections) {
+    std::memcpy(cursor, section.data(), section.size());
+    cursor += section.size();
   }
   return blob;
 }
 
 }  // namespace
 
-void CheckpointAccess::put_preamble(std::ostream& out,
+void CheckpointAccess::put_preamble(ByteWriter& out,
                                     const Assessor& assessor,
                                     std::uint64_t writers) {
-  out.write(kEngineMagic, sizeof kEngineMagic);
+  out.raw(kEngineMagic, sizeof kEngineMagic);
   put_stage_options(out, assessor.config_.pipeline_options);
-  put_u64(out, assessor.chunks_processed_);
-  put_u64(out, assessor.snapshots_seen_);
+  out.u64(assessor.chunks_processed_);
+  out.u64(assessor.snapshots_seen_);
   put_stage_state(out, assessor.zscore_stage_.state());
-  put_u64(out, assessor.sensors_);
-  put_u64(out, assessor.groups_.size());
+  out.u64(assessor.sensors_);
+  out.u64(assessor.groups_.size());
   for (const auto& group : assessor.groups_) {
-    put_u64(out, group.size());
-    for (std::size_t sensor : group) put_u64(out, sensor);
+    out.u64(group.size());
+    for (std::size_t sensor : group) out.u64(sensor);
   }
   const ModelStack& stack = assessor.stack_;
-  put_u64(out, stack.coarse_stride());
+  out.u64(stack.coarse_stride());
   if (stack.hierarchical()) {
-    put_u64(out, stack.rows_.size());
-    for (std::size_t row : stack.rows_) put_u64(out, row);
-    put_u64(out, stack.interp_.size());
+    out.u64(stack.rows_.size());
+    for (std::size_t row : stack.rows_) out.u64(row);
+    out.u64(stack.interp_.size());
     for (const auto& ip : stack.interp_) {
-      put_u64(out, ip.lo);
-      put_u64(out, ip.hi);
-      put_f64(out, ip.w);
+      out.u64(ip.lo);
+      out.u64(ip.hi);
+      out.f64(ip.w);
     }
   }
-  put_u64(out, writers);
+  out.u64(writers);
 }
 
 void CheckpointAccess::save_full(std::ostream* out, const Assessor& assessor) {
@@ -859,30 +718,35 @@ void CheckpointAccess::save_full(std::ostream* out, const Assessor& assessor) {
                      "cannot checkpoint a fleet before its first chunk");
 
   const auto put_head = [&assessor, out] {
-    put_preamble(*out, assessor, 0);
-    put_list_head(*out, assessor.groups_.size(),
+    ByteWriter head;
+    put_preamble(head, assessor, 0);
+    put_list_head(head, assessor.groups_.size(),
                   assessor.stack_.hierarchical() ? &assessor.stack_.coarse()
                                                  : nullptr);
+    write_bytes(*out, head.bytes());
   };
   // Without a gather to wait for, the coarse image is written (and freed)
   // before the group images exist, so peak memory holds only one of them.
   if (comm == nullptr) put_head();
 
-  // Serialize this process's groups' model images concurrently across its
-  // lanes (the same lane structure process() uses), in local group order.
+  // Serialize this process's groups' model sections concurrently across
+  // its lanes (the same lane structure process() uses), in local group
+  // order.
   const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
-  std::vector<std::string> sections(local_count);
+  std::vector<std::vector<std::uint8_t>> sections(local_count);
   parallel_for(
       0, assessor.lanes_,
       [&assessor, &sections, local_count](std::size_t lane) {
         for (std::size_t l = lane; l < local_count; l += assessor.lanes_) {
-          sections[l] = model_image(assessor.stack_.fine(l));
+          ByteWriter section;
+          put_section(section, assessor.stack_.fine(l));
+          sections[l] = section.take();
         }
       },
       &assessor.pool());
 
   if (comm == nullptr) {
-    for (const std::string& section : sections) put_section(*out, section);
+    for (const auto& section : sections) write_bytes(*out, section);
   } else {
     // One ragged gather moves every rank's sections to the writer. Rank
     // blocks arrive in rank order and ownership ranges are contiguous, so
@@ -926,21 +790,20 @@ void CheckpointAccess::save_delta(const std::string& path,
     const std::size_t epoch = journal.epoch_ + 1;
     const std::size_t local_count =
         assessor.local_end_ - assessor.local_begin_;
-    // Each section goes straight into the part buffer, so only one model
-    // image is held at a time.
-    std::ostringstream part;
-    part.write(kPartMagic, sizeof kPartMagic);
+    // Each section is written straight into the part buffer.
+    ByteWriter part;
+    part.raw(kPartMagic, sizeof kPartMagic);
     put_list_head(part, local_count,
                   root && assessor.stack_.hierarchical()
                       ? &assessor.stack_.coarse()
                       : nullptr);
     for (std::size_t l = 0; l < local_count; ++l) {
-      put_section(part, model_image(assessor.stack_.fine(l)));
+      put_section(part, assessor.stack_.fine(l));
     }
-    const std::string bytes = std::move(part).str();
+    const std::vector<std::uint8_t>& bytes = part.bytes();
     std::ofstream out(part_path(path, writer, epoch),
                       std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    write_bytes(out, bytes);
     out.flush();
     if (!out) throw Error("delta checkpoint part write failed");
     journal.part_bytes_ = bytes.size();
@@ -954,15 +817,13 @@ void CheckpointAccess::save_delta(const std::string& path,
     journal.pending_.clear();
     journal.appendable_ = true;
   } else {
-    std::ostringstream append;
-    for (const linalg::Mat& record : journal.pending_) {
-      put_mat(append, record);
-    }
-    const std::string bytes = std::move(append).str();
+    ByteWriter append;
+    for (const linalg::Mat& record : journal.pending_) append.matrix(record);
+    const std::vector<std::uint8_t>& bytes = append.bytes();
     if (!bytes.empty()) {
       std::ofstream out(part_path(path, writer, journal.epoch_),
                         std::ios::binary | std::ios::app);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      write_bytes(out, bytes);
       out.flush();
       if (!out) throw Error("delta checkpoint part append failed");
     }
@@ -985,19 +846,21 @@ void CheckpointAccess::save_delta(const std::string& path,
       comm != nullptr ? comm->gatherv(std::span<const double>(mine), 0)
                       : std::vector<std::vector<double>>{mine};
   if (root) {
-    write_file_atomic(path, [&](std::ostream& out) {
-      put_preamble(out, assessor, writers);
-      put_u64(out, journal.epoch_);
-      for (const std::vector<double>& slot : slots) {
-        IMRDMD_REQUIRE_DIMS(slot.size() == 3,
-                            "delta checkpoint manifest slot has the wrong "
-                            "length");
-        put_u64(out, static_cast<std::uint64_t>(slot[0]));
-        put_u64(out, (static_cast<std::uint64_t>(slot[1]) << 32) |
-                         static_cast<std::uint64_t>(slot[2]));
-      }
-      put_u64(out, journal.base_chunks_);
-      put_u64(out, journal.base_position_);
+    ByteWriter main;
+    put_preamble(main, assessor, writers);
+    main.u64(journal.epoch_);
+    for (const std::vector<double>& slot : slots) {
+      IMRDMD_REQUIRE_DIMS(slot.size() == 3,
+                          "delta checkpoint manifest slot has the wrong "
+                          "length");
+      main.u64(static_cast<std::uint64_t>(slot[0]));
+      main.u64((static_cast<std::uint64_t>(slot[1]) << 32) |
+               static_cast<std::uint64_t>(slot[2]));
+    }
+    main.u64(journal.base_chunks_);
+    main.u64(journal.base_position_);
+    write_file_atomic(path, [&main](std::ostream& out) {
+      write_bytes(out, main.bytes());
       if (!out) throw Error("delta checkpoint manifest write failed");
     });
   }
@@ -1052,7 +915,7 @@ void CheckpointAccess::save_file(const std::string& path, Assessor& assessor) {
   }
 }
 
-RestoredAssessor CheckpointAccess::load(BoundedReader& in,
+RestoredAssessor CheckpointAccess::load(ByteReader& in,
                                         const std::string* path,
                                         dist::Communicator* comm,
                                         const AssessorResumeOptions& resume) {
@@ -1194,12 +1057,14 @@ RestoredAssessor CheckpointAccess::assemble(
 }
 
 void save_checkpoint(std::ostream& out, const IncrementalMrdmd& model) {
-  CheckpointAccess::put_model(out, model);
+  ByteWriter image;
+  CheckpointAccess::put_model(image, model);
+  write_bytes(out, image.bytes());
   if (!out) throw Error("checkpoint write failed");
 }
 
 IncrementalMrdmd load_checkpoint(std::istream& raw) {
-  BoundedReader in(raw);
+  ByteReader in(raw);
   return CheckpointAccess::get_model(in);
 }
 
@@ -1236,7 +1101,7 @@ RestoredAssessor load_file(const std::string& path, dist::Communicator* comm,
                            const AssessorResumeOptions& resume) {
   std::ifstream file(path, std::ios::binary);
   if (!file) throw Error("cannot open checkpoint for reading: " + path);
-  BoundedReader in(file);
+  ByteReader in(file);
   return CheckpointAccess::load(in, &path, comm, resume);
 }
 
@@ -1244,7 +1109,7 @@ RestoredAssessor load_file(const std::string& path, dist::Communicator* comm,
 
 RestoredAssessor load_assessor_checkpoint(std::istream& raw,
                                           const AssessorResumeOptions& resume) {
-  BoundedReader in(raw);
+  ByteReader in(raw);
   return CheckpointAccess::load(in, nullptr, nullptr, resume);
 }
 
@@ -1256,7 +1121,7 @@ RestoredAssessor load_assessor_checkpoint_file(
 RestoredAssessor load_assessor_checkpoint(std::istream& raw,
                                           dist::Communicator& comm,
                                           const AssessorResumeOptions& resume) {
-  BoundedReader in(raw);
+  ByteReader in(raw);
   return CheckpointAccess::load(in, nullptr, &comm, resume);
 }
 

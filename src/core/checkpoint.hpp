@@ -26,10 +26,11 @@
 //     magics fail with ParseError (bad magic).
 //
 // Little-endian, magic "IMRDMD1\n" (one model) / "IMRDFL4\n" (engine), then
-// length-prefixed sections. Every section is bounds-checked against the
-// remaining stream size before it drives an allocation (BoundedReader
-// discipline), so truncated or corrupted inputs fail with ParseError, never
-// a fantasy-sized allocation. The formats are an implementation detail —
+// length-prefixed sections, encoded with the shared byte codec
+// (common/byte_codec.hpp). Every section is bounds-checked against the
+// remaining input before it drives an allocation (the codec's ByteReader),
+// so truncated or corrupted inputs fail with ParseError, never a
+// fantasy-sized allocation. The formats are an implementation detail —
 // only this module reads them. File-level writes go through
 // write_file_atomic (common/atomic_file.hpp): the checkpoint path always
 // holds a complete image, even across a crash mid-save.

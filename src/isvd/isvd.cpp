@@ -20,9 +20,8 @@ Isvd Isvd::from_state(IsvdOptions options, linalg::Mat u,
                       std::vector<double> s, linalg::Mat v,
                       std::size_t cols_seen) {
   IMRDMD_REQUIRE_DIMS(u.cols() == s.size(), "from_state U/s rank mismatch");
-  IMRDMD_REQUIRE_DIMS(!options.track_v || v.cols() == s.size(),
-                      "from_state V/s rank mismatch");
-  IMRDMD_REQUIRE_DIMS(!options.track_v || v.rows() == cols_seen,
+  IMRDMD_REQUIRE_DIMS(v.cols() == s.size(), "from_state V/s rank mismatch");
+  IMRDMD_REQUIRE_DIMS(v.rows() == cols_seen,
                       "from_state V rows must equal cols_seen");
   Isvd isvd(options);
   isvd.u_ = std::move(u);
@@ -39,7 +38,7 @@ void Isvd::initialize(const Mat& block) {
   linalg::SvdResult f = linalg::svd(block);
   u_ = std::move(f.u);
   s_ = std::move(f.s);
-  if (options_.track_v) v_ = std::move(f.v);
+  v_ = std::move(f.v);
   cols_seen_ = block.cols();
   initialized_ = true;
   truncate();
@@ -107,26 +106,22 @@ void Isvd::update_block(const Mat& src, std::size_t c0, std::size_t c,
 
   s_.assign(ws.core_svd.s.begin(), ws.core_svd.s.end());
 
-  if (options_.track_v) {
-    // V gains a row per seen column; reserve geometrically so the growth
-    // allocations amortize away in steady state.
-    const std::size_t need = (cols_seen_ + c) * (r + c);
-    if (ws.v_ext.capacity() < need) ws.v_ext.reserve(2 * need);
-    if (ws.v_next.capacity() < need) ws.v_next.reserve(2 * need);
-    ws.v_ext.assign_zero(cols_seen_ + c, r + c);
-    ws.v_ext.set_block(0, 0, v_);
-    for (std::size_t j = 0; j < c; ++j) ws.v_ext(cols_seen_ + j, r + j) = 1.0;
-    linalg::matmul_into(ws.v_ext, ws.core_svd.v, ws.v_next);
-    std::swap(v_, ws.v_next);
-  }
+  // V gains a row per seen column; reserve geometrically so the growth
+  // allocations amortize away in steady state.
+  const std::size_t need = (cols_seen_ + c) * (r + c);
+  if (ws.v_ext.capacity() < need) ws.v_ext.reserve(2 * need);
+  if (ws.v_next.capacity() < need) ws.v_next.reserve(2 * need);
+  ws.v_ext.assign_zero(cols_seen_ + c, r + c);
+  ws.v_ext.set_block(0, 0, v_);
+  for (std::size_t j = 0; j < c; ++j) ws.v_ext(cols_seen_ + j, r + j) = 1.0;
+  linalg::matmul_into(ws.v_ext, ws.core_svd.v, ws.v_next);
+  std::swap(v_, ws.v_next);
   cols_seen_ += c;
   truncate();
 }
 
 void Isvd::add_rows(const Mat& new_rows) {
   IMRDMD_REQUIRE_ARG(initialized_, "Isvd::add_rows before initialize");
-  IMRDMD_REQUIRE_ARG(options_.track_v,
-                     "add_rows needs track_v (it projects onto V)");
   IMRDMD_REQUIRE_DIMS(new_rows.cols() == cols_seen_,
                       "Isvd::add_rows column count mismatch");
   if (new_rows.rows() == 0) return;
@@ -174,8 +169,7 @@ void Isvd::add_rows(const Mat& new_rows) {
 }
 
 linalg::Mat Isvd::reconstruct() const {
-  IMRDMD_REQUIRE_ARG(initialized_ && options_.track_v,
-                     "reconstruct needs an initialized, V-tracking Isvd");
+  IMRDMD_REQUIRE_ARG(initialized_, "reconstruct needs an initialized Isvd");
   Mat us = u_;
   for (std::size_t j = 0; j < s_.size(); ++j) linalg::scale_col(us, j, s_[j]);
   return linalg::matmul_a_bt(us, v_);
@@ -191,7 +185,7 @@ void Isvd::truncate() {
   if (keep == s_.size()) return;
   s_.resize(keep);
   u_.shrink_cols(keep);
-  if (options_.track_v && !v_.empty()) v_.shrink_cols(keep);
+  if (!v_.empty()) v_.shrink_cols(keep);
 }
 
 }  // namespace imrdmd::isvd

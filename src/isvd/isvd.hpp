@@ -34,8 +34,6 @@ struct IsvdOptions {
   std::size_t max_rank = 0;
   /// Drop singular values <= truncation_tol * s_max after each update.
   double truncation_tol = 1e-12;
-  /// Maintain V (needed by DMD); disable for PCA-style uses to save memory.
-  bool track_v = true;
 };
 
 /// Scratch for Isvd::update. Every temporary of the blocked fast path —
@@ -98,7 +96,7 @@ class Isvd {
 
   const linalg::Mat& u() const { return u_; }
   const std::vector<double>& s() const { return s_; }
-  /// V is only valid when options.track_v; rows correspond to seen columns.
+  /// Rows correspond to seen columns.
   const linalg::Mat& v() const { return v_; }
 
   /// U diag(s) V^T — for tests and small problems only (forms the product).

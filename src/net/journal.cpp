@@ -8,9 +8,9 @@
 #include <cstring>
 #include <utility>
 
+#include "common/byte_codec.hpp"
 #include "common/error.hpp"
 #include "common/fnv.hpp"
-#include "net/wire.hpp"
 
 namespace imrdmd::net {
 
@@ -71,10 +71,10 @@ ChunkJournal::ChunkJournal(std::string path, std::size_t sensors)
   std::lock_guard<std::mutex> lock(mutex_);
   if (st.st_size == 0) {
     // Fresh journal: write the header.
-    std::vector<std::uint8_t> header(kJournalMagic,
-                                     kJournalMagic + sizeof(kJournalMagic));
-    put_u64(header, sensors_);
-    write_all(fd_, header.data(), header.size(), path_);
+    ByteWriter header;
+    header.raw(kJournalMagic, sizeof(kJournalMagic));
+    header.u64(sensors_);
+    write_all(fd_, header.bytes().data(), header.size(), path_);
     append_offset_ = header.size();
     return;
   }
@@ -101,7 +101,8 @@ std::uint64_t ChunkJournal::scan_locked(std::uint64_t file_size) {
       std::memcmp(header, kJournalMagic, sizeof(kJournalMagic)) != 0) {
     throw Error("ChunkJournal: " + path_ + " is not an IMRDJL1 journal");
   }
-  const std::uint64_t recorded_sensors = get_u64(header + 8);
+  const std::uint64_t recorded_sensors =
+      ByteReader(std::span(header).subspan(sizeof(kJournalMagic))).u64();
   if (recorded_sensors != sensors_) {
     throw Error("ChunkJournal: " + path_ + " records " +
                 std::to_string(recorded_sensors) + " sensors, expected " +
@@ -121,8 +122,9 @@ std::uint64_t ChunkJournal::scan_locked(std::uint64_t file_size) {
     }
     std::uint8_t meta[16];
     if (!pread_all(fd_, meta, sizeof(meta), at + 1, path_)) return at;
-    const std::uint64_t cols = get_u64(meta);
-    const std::uint64_t digest = get_u64(meta + 8);
+    ByteReader fields(meta);
+    const std::uint64_t cols = fields.u64();
+    const std::uint64_t digest = fields.u64();
     if (cols == 0) {
       throw Error("ChunkJournal: " + path_ + " holds a zero-width chunk");
     }
@@ -179,21 +181,19 @@ void ChunkJournal::append(const linalg::Mat& chunk) {
   std::lock_guard<std::mutex> lock(mutex_);
   IMRDMD_REQUIRE_ARG(!ended_, "ChunkJournal: append after the end marker");
 
-  std::vector<std::uint8_t> payload;
-  put_matrix(payload, chunk);
-
-  std::vector<std::uint8_t> record;
-  record.reserve(17 + payload.size());
-  record.push_back(kKindChunk);
-  put_u64(record, chunk.cols());
-  put_u64(record, fnv1a64(payload.data(), payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
+  // The payload is the chunk's row-major buffer, as the codec lays it out.
+  const std::size_t payload_bytes = chunk.size() * sizeof(double);
+  ByteWriter record;
+  record.u8(kKindChunk);
+  record.u64(chunk.cols());
+  record.u64(fnv1a64(chunk.data(), payload_bytes));
+  record.raw(chunk.data(), payload_bytes);
 
   if (::lseek(fd_, static_cast<off_t>(append_offset_), SEEK_SET) < 0) {
     throw Error("ChunkJournal: seek in " + path_ + " failed: " +
                 std::strerror(errno));
   }
-  write_all(fd_, record.data(), record.size(), path_);
+  write_all(fd_, record.bytes().data(), record.size(), path_);
 
   Record entry;
   entry.payload_offset = append_offset_ + 17;
@@ -222,14 +222,15 @@ linalg::Mat ChunkJournal::read_chunk(std::size_t index) const {
   IMRDMD_REQUIRE_ARG(index < records_.size(),
                      "ChunkJournal: chunk index out of range");
   const Record& record = records_[index];
-  std::vector<std::uint8_t> payload(sensors_ * record.cols *
-                                    sizeof(double));
-  if (!pread_all(fd_, payload.data(), payload.size(),
-                 record.payload_offset, path_)) {
+  // The payload is the chunk's row-major buffer: read it in place.
+  linalg::Mat chunk(sensors_, record.cols);
+  if (!pread_all(fd_, reinterpret_cast<std::uint8_t*>(chunk.data()),
+                 chunk.size() * sizeof(double), record.payload_offset,
+                 path_)) {
     throw Error("ChunkJournal: journaled record in " + path_ +
                 " vanished (file truncated externally)");
   }
-  return get_matrix(payload.data(), sensors_, record.cols);
+  return chunk;
 }
 
 std::size_t ChunkJournal::chunk_cols(std::size_t index) const {

@@ -12,7 +12,7 @@
 //     replay. append() writes with write(2) and never fsyncs, so an acked
 //     chunk survives a process kill but not a power loss or OS crash.
 //
-// File layout (all integers LE, via net/wire.hpp's packing):
+// File layout (all integers LE, via the shared common/byte_codec.hpp):
 //   8 bytes   magic "IMRDJL1\n"
 //   8 bytes   sensors (u64; every chunk must carry this many rows)
 //   records:

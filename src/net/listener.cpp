@@ -215,14 +215,25 @@ void IngestListener::serve_stream(Socket& socket) {
         send_frame(socket, FrameType::Ack, source->acked_seq(), {});
         break;
       }
-      case FrameType::Checkpoint: {
-        count("imrdmd_net_frames_total", hello.stream_id, 1.0);
-        send_frame(socket, FrameType::Ack, source->acked_seq(), {});
-        break;
-      }
+      case FrameType::Checkpoint:
       case FrameType::End: {
-        source->mark_end();
+        // A stale connection's marker may lag the journal but never lead
+        // it, and the permanent end marker must match it exactly.
+        const std::uint64_t position = decode_position_payload(frame.payload);
+        const std::size_t journaled = source->journaled_snapshots();
+        if (position > journaled ||
+            (frame.type == FrameType::End && position != journaled)) {
+          throw ProtocolError("IngestListener: marker at snapshot " +
+                              std::to_string(position) +
+                              " disagrees with the journal's " +
+                              std::to_string(journaled));
+        }
         count("imrdmd_net_frames_total", hello.stream_id, 1.0);
+        if (frame.type == FrameType::Checkpoint) {
+          send_frame(socket, FrameType::Ack, source->acked_seq(), {});
+          break;
+        }
+        source->mark_end();
         send_frame(socket, FrameType::EndAck, frame.seq, {});
         return;  // session complete
       }

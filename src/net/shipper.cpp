@@ -116,10 +116,9 @@ ShipSummary ChunkShipper::ship(core::ChunkSource& source) {
         if (options_.checkpoint_marker_every > 0 &&
             ++since_marker >= options_.checkpoint_marker_every) {
           since_marker = 0;
-          std::vector<std::uint8_t> marker;
-          put_u64(marker, source.position());
           summary.wire_bytes +=
-              send_frame(socket, FrameType::Checkpoint, seq, marker);
+              send_frame(socket, FrameType::Checkpoint, seq,
+                         encode_position_payload(source.position()));
         }
         while (unacked.size() >= options_.window) {
           if (drain_one()) {
@@ -129,10 +128,9 @@ ShipSummary ChunkShipper::ship(core::ChunkSource& source) {
         }
       }
 
-      std::vector<std::uint8_t> end_payload;
-      put_u64(end_payload, source.position());
       summary.wire_bytes +=
-          send_frame(socket, FrameType::End, seq, end_payload);
+          send_frame(socket, FrameType::End, seq,
+                     encode_position_payload(source.position()));
       while (!drain_one()) {
       }
       if (!unacked.empty()) {

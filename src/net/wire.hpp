@@ -22,14 +22,16 @@
 //   Hello       client->server  u64 sensors, u32 id_len, id bytes
 //   HelloAck    server->client  u64 next_seq (first chunk sequence the
 //                               server wants), u64 position (snapshots
-//                               already journaled), u8 ended
+//                               already journaled), u8 ended (0 or 1)
 //   Chunk       client->server  u64 rows, u64 cols, rows*cols f64
 //                               (row-major)
 //   Ack         server->client  empty; header seq = highest contiguously
 //                               journaled chunk sequence (cumulative)
 //   Checkpoint  client->server  u64 source position (a marker: the shipper
-//                               crossed a checkpoint boundary)
-//   End         client->server  u64 total snapshots shipped
+//                               crossed a checkpoint boundary); never past
+//                               the snapshots journaled
+//   End         client->server  u64 total snapshots shipped; must equal
+//                               the snapshots journaled
 //   EndAck      server->client  empty; sent once the end marker is
 //                               journaled (the shipper's all-clear)
 //   Error       server->client  u32 code (ErrorCode), u32 msg_len, msg
@@ -40,6 +42,7 @@
 // `next_seq`; the server drops duplicates by sequence. Digest mismatches
 // (bit rot, a corrupting middlebox) are rejected with Error{DigestMismatch}
 // and never journaled.
+// Frames are encoded with the shared byte codec (common/byte_codec.hpp).
 #pragma once
 
 #include <cstddef>
@@ -107,19 +110,9 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// --- Little-endian scalar packing (shared with the journal) -------------
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value);
-std::uint32_t get_u32(const std::uint8_t* bytes);
-std::uint64_t get_u64(const std::uint8_t* bytes);
-
-/// Appends `mat`'s rows*cols doubles row-major as LE bit patterns.
-void put_matrix(std::vector<std::uint8_t>& out, const linalg::Mat& mat);
-/// Reads rows*cols LE doubles from `bytes` into a rows x cols matrix.
-linalg::Mat get_matrix(const std::uint8_t* bytes, std::size_t rows,
-                       std::size_t cols);
-
 /// --- Payload builders/parsers -------------------------------------------
+/// Every decoder takes exactly one well-formed payload; anything else
+/// (truncated, trailing bytes, out-of-domain words) is a ProtocolError.
 std::vector<std::uint8_t> encode_hello_payload(const std::string& stream_id,
                                                std::size_t sensors);
 struct HelloPayload {
@@ -149,6 +142,11 @@ struct ErrorPayload {
   std::string message;
 };
 ErrorPayload decode_error_payload(const std::vector<std::uint8_t>& payload);
+
+/// The Checkpoint and End payloads: one source position.
+std::vector<std::uint8_t> encode_position_payload(std::uint64_t position);
+std::uint64_t decode_position_payload(
+    const std::vector<std::uint8_t>& payload);
 
 /// --- Socket I/O ---------------------------------------------------------
 /// Sends the connection-opening magic / validates it (ProtocolError on a

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -346,23 +347,103 @@ TEST(FleetCheckpoint, CorruptBaselinePopulationRejectedAtLoad) {
 void corrupt_words_rejected_without_huge_allocation(std::size_t stride) {
   // Fuzz every u64-aligned position with an all-ones word: loads must
   // either succeed or throw a library Error — never exhaust memory or
-  // crash on a garbage length prefix, section size, or group index.
+  // crash on a garbage length prefix, section size, or group index. A
+  // container that loads must re-save to the very bytes it was read from:
+  // a word that loads as another value does not round-trip.
   const std::string bytes = small_fleet_bytes(stride);
   for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8) {
     std::string corrupt = bytes;
     const std::uint64_t garbage = ~std::uint64_t{0};
     std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
     std::stringstream in(corrupt);
+    std::optional<core::RestoredAssessor> restored;
     try {
-      core::load_assessor_checkpoint(in);
+      restored.emplace(core::load_assessor_checkpoint(in));
     } catch (const Error&) {
-      // Expected for most offsets.
+      continue;  // Expected for most offsets.
     }
+    std::stringstream resaved;
+    core::save_assessor_checkpoint(resaved, restored->assessor);
+    EXPECT_TRUE(resaved.str() == corrupt) << "offset " << offset;
   }
 }
 
 TEST(FleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
   for_each_stride(corrupt_words_rejected_without_huge_allocation);
+}
+
+std::uint64_t word_at(const std::string& bytes, std::size_t offset) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes.data() + offset, sizeof word);
+  return word;
+}
+
+/// The byte offset of the first interpolation entry (lo, hi, w) of a
+/// hierarchical container: past the baseline population (its count sits
+/// at byte 96), the sensor and group counts, the groups, the coarse stride
+/// and the coarse grid, and the interpolation map's count.
+std::size_t interp_offset(const std::string& bytes) {
+  std::size_t at = 104 + 8 * word_at(bytes, 96);
+  const std::uint64_t sensors = word_at(bytes, at);
+  const std::uint64_t groups = word_at(bytes, at + 8);
+  at += 16;
+  for (std::uint64_t g = 0; g < groups; ++g) at += 8 * (1 + word_at(bytes, at));
+  EXPECT_EQ(word_at(bytes, at), 2u);  // the coarse stride
+  at += 8;
+  at += 8 * (1 + word_at(bytes, at));  // the coarse grid
+  EXPECT_EQ(word_at(bytes, at), sensors);
+  return at + 8;
+}
+
+void preamble_values_outside_their_domain_rejected(std::size_t stride) {
+  // The preamble's bool words (reselect_baseline_per_chunk at byte 64,
+  // selected_once at byte 88) are 0 or 1; its seven stage doubles (bytes 8
+  // to 63) are never NaN, and the baseline range is ordered; each
+  // interpolation entry has w in [0, 1) and hi == lo or lo + 1. Anything
+  // else loads skewed state (a NaN hot_threshold scores every Elevated
+  // sensor Hot) or fails chunks later, so it must fail the load.
+  const std::string bytes = small_fleet_bytes(stride);
+  const auto rejected = [&bytes](std::size_t offset, auto value) {
+    static_assert(sizeof value == 8);
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + offset, &value, sizeof value);
+    std::stringstream in(corrupt);
+    EXPECT_THROW(core::load_assessor_checkpoint(in), ParseError)
+        << "offset " << offset << " value " << value;
+  };
+  for (const std::size_t offset : {64u, 88u}) {
+    rejected(offset, std::uint64_t{2});
+    rejected(offset, ~std::uint64_t{0});
+  }
+  for (std::size_t offset = 8; offset < 64; offset += 8) {
+    rejected(offset, std::numeric_limits<double>::quiet_NaN());
+  }
+  rejected(32, 20.0);  // value_min above value_max (10)
+  // +inf is a meaningful bound (the band's default upper edge) and loads.
+  double max_frequency = 0.0;
+  std::memcpy(&max_frequency, bytes.data() + 16, sizeof max_frequency);
+  ASSERT_EQ(max_frequency, std::numeric_limits<double>::infinity());
+
+  if (stride == 0) return;
+  // Sensors 0, 1 and 2 of the first group: an exact grid row (0, 0), the
+  // midpoint of rows 0 and 1, and the exact row (1, 1).
+  const std::size_t at = interp_offset(bytes);
+  ASSERT_EQ(word_at(bytes, at), 0u);
+  ASSERT_EQ(word_at(bytes, at + 8), 0u);
+  ASSERT_EQ(word_at(bytes, at + 24), 0u);
+  ASSERT_EQ(word_at(bytes, at + 32), 1u);
+  ASSERT_EQ(word_at(bytes, at + 48), 1u);
+  ASSERT_EQ(word_at(bytes, at + 56), 1u);
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(), 7.5, -3.0,
+                         1.0, std::numeric_limits<double>::infinity()}) {
+    rejected(at + 40, w);
+  }
+  rejected(at + 8, std::uint64_t{2});   // hi == lo + 2
+  rejected(at + 56, std::uint64_t{0});  // hi == lo - 1
+}
+
+TEST(FleetCheckpoint, PreambleValuesOutsideTheirDomainRejected) {
+  for_each_stride(preamble_values_outside_their_domain_rejected);
 }
 
 // --- mixed-provenance resume fuzz (saved at R ranks, resumed at R') -----

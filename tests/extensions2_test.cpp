@@ -274,18 +274,6 @@ TEST(Checkpoint, NonSeekableStreamStillBoundsCorruptSections) {
   // A stream without a known size (pipe-like) cannot be bounded exactly;
   // sections are then held to a hard ceiling so a corrupted header still
   // fails with ParseError instead of a fantasy-sized allocation.
-  class NoSeekBuf : public std::streambuf {
-   public:
-    explicit NoSeekBuf(std::string bytes) : bytes_(std::move(bytes)) {
-      setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
-    }
-    // seekoff/seekpos keep the std::streambuf defaults, which fail —
-    // exactly the non-seekable behavior under test.
-
-   private:
-    std::string bytes_;
-  };
-
   Rng rng(7);
   const Mat data = planted_multiscale(6, 256, 0.02, rng);
   core::IncrementalMrdmd model(small_options());
@@ -297,7 +285,7 @@ TEST(Checkpoint, NonSeekableStreamStillBoundsCorruptSections) {
   std::memcpy(corrupt.data() + 136, &big, sizeof big);  // grid rows
   std::memcpy(corrupt.data() + 144, &big, sizeof big);  // grid cols
 
-  NoSeekBuf buffer(corrupt);
+  imrdmd::testing::NoSeekBuf buffer(corrupt);
   std::istream in(&buffer);
   EXPECT_EQ(in.tellg(), std::istream::pos_type(-1));  // truly non-seekable
   EXPECT_THROW(core::load_checkpoint(in), ParseError);

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <memory>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "chunk_source_conformance.hpp"
+#include "common/byte_codec.hpp"
 #include "common/error.hpp"
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
@@ -192,36 +194,36 @@ TEST(NetWire, MalformedPeersAreRejectedTyped) {
     // A damaged payload fails the digest check, not the decode.
     auto [a, b] = socket_pair();
     std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-    std::vector<std::uint8_t> header;
-    net::put_u32(header, static_cast<std::uint32_t>(FrameType::Chunk));
-    net::put_u64(header, 1);
-    net::put_u64(header, fnv1a64(payload.data(), payload.size()));
-    net::put_u64(header, payload.size());
+    ByteWriter header;
+    header.u32(static_cast<std::uint32_t>(FrameType::Chunk));
+    header.u64(1);
+    header.u64(fnv1a64(payload.data(), payload.size()));
+    header.u64(payload.size());
     payload[2] ^= 0xFF;  // damage after digesting
-    a.send_all(header.data(), header.size());
+    a.send_all(header.bytes().data(), header.size());
     a.send_all(payload.data(), payload.size());
     EXPECT_THROW(net::recv_frame(b), DigestMismatch);
   }
   {
     // Unknown frame type.
     auto [a, b] = socket_pair();
-    std::vector<std::uint8_t> header;
-    net::put_u32(header, 999);
-    net::put_u64(header, 0);
-    net::put_u64(header, fnv1a64(nullptr, 0));
-    net::put_u64(header, 0);
-    a.send_all(header.data(), header.size());
+    ByteWriter header;
+    header.u32(999);
+    header.u64(0);
+    header.u64(fnv1a64(nullptr, 0));
+    header.u64(0);
+    a.send_all(header.bytes().data(), header.size());
     EXPECT_THROW(net::recv_frame(b), ProtocolError);
   }
   {
     // A payload length past the cap is rejected before allocation.
     auto [a, b] = socket_pair();
-    std::vector<std::uint8_t> header;
-    net::put_u32(header, static_cast<std::uint32_t>(FrameType::Chunk));
-    net::put_u64(header, 1);
-    net::put_u64(header, 0);
-    net::put_u64(header, net::kMaxFramePayload + 1);
-    a.send_all(header.data(), header.size());
+    ByteWriter header;
+    header.u32(static_cast<std::uint32_t>(FrameType::Chunk));
+    header.u64(1);
+    header.u64(0);
+    header.u64(net::kMaxFramePayload + 1);
+    a.send_all(header.bytes().data(), header.size());
     EXPECT_THROW(net::recv_frame(b), ProtocolError);
   }
   for (const std::uint64_t cols :
@@ -230,19 +232,62 @@ TEST(NetWire, MalformedPeersAreRejectedTyped) {
     // to 0 and so matches the empty body. rows * cols itself wraps to 0
     // at 2^61 and to a count no vector can hold at 2^58; both must be the
     // typed ProtocolError the listener answers with an Error frame.
-    std::vector<std::uint8_t> payload;
-    net::put_u64(payload, 56);
-    net::put_u64(payload, cols);
-    EXPECT_THROW(net::decode_chunk_payload(payload), ProtocolError);
+    ByteWriter payload;
+    payload.u64(56);
+    payload.u64(cols);
+    EXPECT_THROW(net::decode_chunk_payload(payload.bytes()), ProtocolError);
   }
   {
     // A peer hanging up mid-frame is ConnectionClosed, not garbage.
     auto [a, b] = socket_pair();
-    std::vector<std::uint8_t> header;
-    net::put_u32(header, static_cast<std::uint32_t>(FrameType::Ack));
-    a.send_all(header.data(), header.size());  // 4 of 28 header bytes
+    ByteWriter header;
+    header.u32(static_cast<std::uint32_t>(FrameType::Ack));
+    a.send_all(header.bytes().data(), header.size());  // 4 of 28 header bytes
     a.close();
     EXPECT_THROW(net::recv_frame(b), ConnectionClosed);
+  }
+}
+
+TEST(NetWire, DecodersEndTypedOnEveryTruncationAndCorruption) {
+  // Every strict prefix of a payload throws ProtocolError — the type the
+  // listener answers with an Error frame — and every single-byte value at
+  // every offset either decodes or throws ProtocolError, never another
+  // exception.
+  using Decode = std::function<void(const std::vector<std::uint8_t>&)>;
+  Rng rng(5);
+  const std::vector<std::pair<std::vector<std::uint8_t>, Decode>> cases = {
+      {net::encode_hello_payload("rack-3", 56),
+       [](const auto& bytes) { net::decode_hello_payload(bytes); }},
+      {net::encode_hello_ack_payload(9, 128, true),
+       [](const auto& bytes) { net::decode_hello_ack_payload(bytes); }},
+      {net::encode_chunk_payload(planted_multiscale(2, 3, 0.1, rng)),
+       [](const auto& bytes) { net::decode_chunk_payload(bytes); }},
+      {net::encode_error_payload(net::ErrorCode::Protocol, "gap"),
+       [](const auto& bytes) { net::decode_error_payload(bytes); }},
+      {net::encode_position_payload(4096),
+       [](const auto& bytes) { net::decode_position_payload(bytes); }}};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [payload, decode] = cases[c];
+    SCOPED_TRACE("payload type " + std::to_string(c));
+    EXPECT_NO_THROW(decode(payload));
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      const std::vector<std::uint8_t> prefix(payload.begin(),
+                                             payload.begin() + cut);
+      EXPECT_THROW(decode(prefix), ProtocolError) << "prefix of " << cut;
+    }
+    for (std::size_t at = 0; at < payload.size(); ++at) {
+      for (int value = 0; value < 256; ++value) {
+        std::vector<std::uint8_t> corrupt = payload;
+        corrupt[at] = static_cast<std::uint8_t>(value);
+        try {
+          decode(corrupt);
+        } catch (const ProtocolError&) {
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "byte " << at << " = " << value
+                        << ": untyped decode error: " << e.what();
+        }
+      }
+    }
   }
 }
 
@@ -347,9 +392,9 @@ TEST(NetJournal, TornTailTruncatedCompleteCorruptionThrows) {
     ASSERT_GE(fd, 0);
     // File header 16 bytes + first record 17 + 128 = 161: the second
     // record's kind byte, then its u64 cols.
-    std::vector<std::uint8_t> width;
-    net::put_u64(width, cols);
-    ASSERT_EQ(::pwrite(fd, width.data(), width.size(), 162), 8);
+    ByteWriter width;
+    width.u64(cols);
+    ASSERT_EQ(::pwrite(fd, width.bytes().data(), width.size(), 162), 8);
     ::close(fd);
     ChunkJournal journal(path, 4);
     EXPECT_EQ(journal.chunks(), 1u);
@@ -696,6 +741,81 @@ TEST(NetShipperListener, UnknownStreamAndSensorMismatchAreFatalTyped) {
   const ShipSummary summary = ship_matrix(ok, 10, 5, good);
   EXPECT_EQ(summary.snapshots, 30u);
   expect_mat_bitwise(drain_source(received, 30), ok);
+  listener.stop();
+}
+
+TEST(NetShipperListener, EndAndCheckpointMarkersMustMatchTheJournal) {
+  // The end marker is permanent, so an End must name exactly the snapshots
+  // journaled; a Checkpoint marker may lag them but never lead. Anything
+  // else gets an Error frame and journals nothing.
+  Rng rng(28);
+  const Mat data = planted_multiscale(6, 12, 0.02, rng);
+  const ScopedJournalPath path_a("markers_a");
+  const ScopedJournalPath path_b("markers_b");
+  TcpChunkSource::Options options_a;
+  options_a.journal_path = path_a.str();
+  TcpChunkSource stream_a(6, options_a);
+  TcpChunkSource::Options options_b;
+  options_b.journal_path = path_b.str();
+  TcpChunkSource stream_b(6, options_b);
+  IngestListener listener(IngestListenerOptions{});
+  listener.register_stream("a", &stream_a);
+  listener.register_stream("b", &stream_b);
+
+  // A raw session: handshake, chunk 1 (the first 4 snapshots, re-acked as
+  // a duplicate after the first session), then one `type` frame carrying
+  // `payload`. Returns the listener's reply.
+  const auto session = [&](const std::string& stream, FrameType type,
+                           const std::vector<std::uint8_t>& payload) {
+    Socket socket = net::connect_loopback(listener.port(), 5.0);
+    socket.set_timeouts(5.0, 5.0);
+    net::send_magic(socket);
+    net::send_frame(socket, FrameType::Hello, 0,
+                    net::encode_hello_payload(stream, 6));
+    EXPECT_EQ(net::recv_frame(socket).type, FrameType::HelloAck);
+    net::send_frame(socket, FrameType::Chunk, 1,
+                    net::encode_chunk_payload(data.block(0, 0, 6, 4)));
+    EXPECT_EQ(net::recv_frame(socket).type, FrameType::Ack);
+    net::send_frame(socket, type, 1, payload);
+    return net::recv_frame(socket);
+  };
+  const auto expect_rejected = [](const Frame& reply) {
+    ASSERT_EQ(reply.type, FrameType::Error);
+    EXPECT_EQ(net::decode_error_payload(reply.payload).code,
+              net::ErrorCode::Protocol);
+  };
+
+  const Frame ended = session("b", FrameType::End,
+                              net::encode_position_payload(4));
+  EXPECT_EQ(ended.type, FrameType::EndAck);
+  EXPECT_TRUE(stream_b.ended());
+
+  for (const std::vector<std::uint8_t>& payload :
+       {net::encode_position_payload(999), std::vector<std::uint8_t>{},
+        std::vector<std::uint8_t>{4, 0, 0}}) {
+    expect_rejected(session("a", FrameType::End, payload));
+    EXPECT_FALSE(stream_a.ended());
+  }
+  for (const std::vector<std::uint8_t>& payload :
+       {net::encode_position_payload(999), std::vector<std::uint8_t>{4, 0}}) {
+    expect_rejected(session("a", FrameType::Checkpoint, payload));
+  }
+  EXPECT_EQ(
+      session("a", FrameType::Checkpoint, net::encode_position_payload(4))
+          .type,
+      FrameType::Ack);
+  EXPECT_EQ(stream_a.journaled_snapshots(), 4u);
+  EXPECT_FALSE(stream_a.ended());
+
+  // The rejected Ends left the stream open: a real shipper resumes it at
+  // snapshot 4 and completes it.
+  ShipperOptions ship_options;
+  ship_options.port = listener.port();
+  ship_options.stream_id = "a";
+  const ShipSummary summary = ship_matrix(data, 4, 4, ship_options);
+  EXPECT_EQ(summary.snapshots, 8u);
+  EXPECT_TRUE(stream_a.ended());
+  expect_mat_bitwise(drain_source(stream_a, 12), data);
   listener.stop();
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,18 @@
 #include "linalg/matrix.hpp"
 
 namespace imrdmd::testing {
+
+/// A stream buffer over `bytes` that cannot seek (the std::streambuf
+/// defaults fail), so a reader cannot learn its size: pipe-like input.
+class NoSeekBuf : public std::streambuf {
+ public:
+  explicit NoSeekBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
 
 /// Random matrix with i.i.d. standard normal entries.
 inline linalg::Mat random_matrix(std::size_t rows, std::size_t cols,
